@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 from .errors import DivergenceError, DomainError, QuadratureError
 from .fracops import AXES
-from .specfun import MLParams, mittag_leffler
+from .specfun import MLParams
 
 __all__ = [
     "RatioPoint",
@@ -295,14 +295,3 @@ def analytic_transform(kind: str, ratio: complex | float, **params) -> complex |
         return ratio ** (g - b) / (rg - c)
     raise DomainError(f"unknown analytic transform kind {kind!r}")
 
-
-def ml_kernel_fn(gamma: float, beta: float, c: float) -> Callable[[float], float]:
-    """Time-domain ML kernel u^(beta-1) E_{gamma,beta}(c u^gamma) as a 1-D callable."""
-    p = MLParams(gamma, beta)
-
-    def kernel(u: float) -> float:
-        if u == 0.0:
-            return 0.0 if beta > 1.0 else (1.0 / math.gamma(beta) if beta == 1.0 else math.inf)
-        return u ** (beta - 1.0) * mittag_leffler(p, c * u ** gamma)
-
-    return kernel

@@ -9,18 +9,24 @@ from the origin to the evaluation point:
 
 The weakly singular endpoint factor (p - u)^(g-1) is removed by the
 substitution v = (p - u)^g, after which the integrand is smooth enough
-for standard adaptive quadrature.
+for standard adaptive quadrature.  Integrals need only values of f, so
+any callable works; derivatives need a ``SmoothFn``, the package's one
+field representation: a sum of products of single-axis atoms whose
+partials are again term lists.  Atoms carry values and integer-order
+derivatives only, so every fractional value here comes from quadrature
+of the defining integral, never from a closed-form image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
+import numpy as np
 from scipy.integrate import quad
 
-from .errors import MissingDerivative, QuadratureError
+from .errors import DomainError, MissingDerivative, QuadratureError
 
 __all__ = [
     "AXES",
@@ -62,34 +68,58 @@ def _as_order(order: FracOrder | float) -> FracOrder:
 
 
 class SmoothFn:
-    """A scalar field on [0, inf)^3 with optional per-axis derivative chains.
+    """A separable field on [0, inf)^3: a sum of terms c * a_1 * ... * a_k.
 
-    ``resolver(axis)`` returns the first partial derivative along ``axis``
-    as another SmoothFn (or None when unavailable), so repeated application
-    yields higher and mixed partials.  Instances are immutable and safe for
-    concurrent evaluation.
+    Each term is a coefficient and a tuple of single-axis atoms (power,
+    exp, sin, cos, Mittag-Leffler kernel; see ``funclib``).  An atom has an
+    axis index ``i``, float values ``fn(u)``, array values ``array(u)``
+    and a closed-form first derivative ``derivative()``, returned as
+    ``(coef, atom)`` (atom None when the factor becomes 1) or raising
+    ``MissingDerivative``.  Partials apply the product rule atom by atom,
+    so any order and mix of them stays a term list.  Instances are
+    immutable and safe for concurrent evaluation.
     """
 
-    __slots__ = ("fn", "_resolver")
+    __slots__ = ("terms",)
 
-    def __init__(
-        self,
-        fn: Callable[[float, float, float], float],
-        resolver: Callable[[str], "SmoothFn | None"] | None = None,
-    ) -> None:
-        self.fn = fn
-        self._resolver = resolver
+    def __init__(self, terms: Iterable[tuple[float, tuple]] = ()) -> None:
+        self.terms = tuple((float(c), tuple(atoms)) for c, atoms in terms if c != 0.0)
 
-    def __call__(self, x: float, y: float, t: float) -> float:
-        return self.fn(x, y, t)
+    def fn(self, x: float, y: float, t: float) -> float:
+        """Scalar value; atoms evaluate floats with ``math`` only."""
+        p = (x, y, t)
+        total = 0.0
+        for c, atoms in self.terms:
+            for a in atoms:
+                c *= a.fn(p[a.i])
+            total += c
+        return total
+
+    __call__ = fn
+
+    def array(self, x, y, t) -> np.ndarray:
+        """Values on broadcast arrays, returned at the full broadcast shape."""
+        p = (x, y, t)
+        out = np.zeros(np.broadcast(x, y, t).shape)
+        for c, atoms in self.terms:
+            v = c
+            for a in atoms:
+                v = v * a.array(p[a.i])
+            out += v
+        return out
 
     def partial(self, axis: str) -> "SmoothFn":
         if axis not in AXES:
             raise ValueError(f"unknown axis {axis!r}")
-        d = self._resolver(axis) if self._resolver is not None else None
-        if d is None:
-            raise MissingDerivative(f"no derivative available along {axis!r}")
-        return d
+        i = AXES.index(axis)
+        out = []
+        for c, atoms in self.terms:
+            for k, a in enumerate(atoms):
+                if a.i == i:
+                    dc, da = a.derivative()
+                    mid = () if da is None else (da,)
+                    out.append((c * dc, atoms[:k] + mid + atoms[k + 1:]))
+        return SmoothFn(out)
 
     def partial_n(self, axis: str, n: int) -> "SmoothFn":
         g = self
@@ -97,47 +127,15 @@ class SmoothFn:
             g = g.partial(axis)
         return g
 
-    def max_derivative_order(self, axis: str, probe_limit: int = 12) -> int:
-        """Depth of the derivative chain along ``axis`` (capped at probe_limit)."""
-        g, k = self, 0
-        while k < probe_limit:
-            try:
-                g = g.partial(axis)
-            except MissingDerivative:
-                break
-            k += 1
-        return k
-
-    # -- algebra -----------------------------------------------------------
-
     def __add__(self, other: "SmoothFn") -> "SmoothFn":
-        def resolver(axis: str) -> "SmoothFn | None":
-            try:
-                return self.partial(axis) + other.partial(axis)
-            except MissingDerivative:
-                return None
-
-        return SmoothFn(lambda x, y, t: self.fn(x, y, t) + other.fn(x, y, t), resolver)
+        return SmoothFn(self.terms + other.terms)
 
     def __mul__(self, other: "SmoothFn | float") -> "SmoothFn":
         if isinstance(other, (int, float)):
-            c = float(other)
-
-            def scale_resolver(axis: str) -> "SmoothFn | None":
-                try:
-                    return self.partial(axis) * c
-                except MissingDerivative:
-                    return None
-
-            return SmoothFn(lambda x, y, t: c * self.fn(x, y, t), scale_resolver)
-
-        def resolver(axis: str) -> "SmoothFn | None":
-            try:
-                return self.partial(axis) * other + self * other.partial(axis)
-            except MissingDerivative:
-                return None
-
-        return SmoothFn(lambda x, y, t: self.fn(x, y, t) * other.fn(x, y, t), resolver)
+            return SmoothFn((c * other, atoms) for c, atoms in self.terms)
+        return SmoothFn(
+            (c1 * c2, a1 + a2) for c1, a1 in self.terms for c2, a2 in other.terms
+        )
 
     __rmul__ = __mul__
 
@@ -221,6 +219,14 @@ def _quad_with_retry(
     return out[0]
 
 
+def _partial_n(f, axis: str, n: int) -> SmoothFn:
+    if not isinstance(f, SmoothFn):
+        raise MissingDerivative(
+            f"derivatives along {axis!r} need a SmoothFn, got a bare callable"
+        )
+    return f.partial_n(axis, n)
+
+
 def rl_integral(
     f: SmoothFn | Callable[[float, float, float], float],
     axis: str,
@@ -260,15 +266,16 @@ def caputo_derivative(
     itself.  Requires ``f`` to supply derivatives along ``axis`` up to n.
 
     Raises:
-        MissingDerivative: when the derivative chain is too short.
+        MissingDerivative: when ``f`` is a bare callable or has an atom
+            without a derivative (the ML kernel) along ``axis``.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
     order = _as_order(order)
     n = order.ceil
     if order.is_integer:
-        return f.partial_n(axis, int(round(order.value)))(*point)
-    g = f.partial_n(axis, n)
+        return _partial_n(f, axis, int(round(order.value)))(*point)
+    g = _partial_n(f, axis, n)
     return _weak_singular_integral(
         g.fn, axis, n - order.value, tuple(point), rel_tol, abs_tol, limit
     )
@@ -286,26 +293,30 @@ def rl_derivative(
     """Riemann-Liouville derivative: n-th derivative of the (n-g) integral.
 
     The outer derivative is taken numerically by central differences with
-    step h = 1e-5 * max(1, p); only values of ``f`` enter the inner
-    integral.  Integer g dispatches to the classical partial and then
-    requires a SmoothFn with a derivative chain.
+    step h = 1e-5 * max(1, p) (5e-4 * max(1, p) for second differences),
+    capped at p/2 so that no node leaves the domain; only values of ``f``
+    enter the inner integral.  Integer g dispatches to the classical
+    partial and then requires a SmoothFn.
+
+    Raises:
+        DomainError: for a non-integer order at p <= 0, where the
+            derivative is not defined by a difference inside the domain.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
     order = _as_order(order)
     if order.is_integer:
-        if not isinstance(f, SmoothFn):
-            raise MissingDerivative(
-                "integer-order RL derivative of a bare callable needs a SmoothFn"
-            )
-        return f.partial_n(axis, int(round(order.value)))(*point)
+        return _partial_n(f, axis, int(round(order.value)))(*point)
 
     n = order.ceil
     delta = n - order.value
     fn = f.fn if isinstance(f, SmoothFn) else f
     p = tuple(point)[AXES.index(axis)]
-    h = 1e-5 * max(1.0, p)
-    h = min(h, p / 2.0) if p > 0.0 else h
+    if not p > 0.0:
+        raise DomainError(
+            f"RL derivative of order {order.value} needs {axis} > 0, got {p}"
+        )
+    h = min(1e-5 * max(1.0, p), p / 2.0)
 
     def rl_at(q: float) -> float:
         return _weak_singular_integral(
@@ -316,7 +327,7 @@ def rl_derivative(
         return (rl_at(p + h) - rl_at(p - h)) / (2.0 * h)
     if n == 2:
         # wider step: second differences amplify quadrature noise by 1/h^2
-        h = max(h, 5e-4 * max(1.0, p))
+        h = min(max(h, 5e-4 * max(1.0, p)), p / 2.0)
         return (rl_at(p + h) - 2.0 * rl_at(p) + rl_at(p - h)) / (h * h)
     raise QuadratureError(
         f"RL derivative implemented for ceilings 1 and 2, got n={n}"

@@ -1,19 +1,23 @@
 """Catalog of certified test fields shared by suites, tests, and the CLI.
 
-Each entry bundles a SmoothFn (value plus derivative chains), an
-exponential-order certificate for transform truncation, and a
-numpy-broadcastable evaluator for batch consumers.  Atoms depend on a
-single axis; products and sums compose them with the usual calculus rules.
+Every field is a ``SmoothFn``: a sum of terms, each a coefficient times
+single-axis atoms.  The atoms are defined here -- power, exp, sin and cos
+with closed-form first derivatives, and the values-only Mittag-Leffler
+kernel -- and each evaluates floats with ``math`` and arrays with numpy
+ufuncs.  A catalog entry bundles its field with an exponential-order
+certificate for transform truncation; ``FieldFn.exp_order`` hands both
+evaluators to the transforms.  The same atoms feed opcalc's separable
+verification path, so the catalog exists once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from .errors import MissingDerivative
 from .forward import ExpOrderFn
 from .fracops import AXES, SmoothFn
 from .specfun import MLParams, mittag_leffler
@@ -41,18 +45,12 @@ class FieldFn:
     smooth: SmoothFn
     bound: float
     rates: tuple[float, float, float]
-    vec: Callable | None = None
 
     def __call__(self, x: float, y: float, t: float) -> float:
         return self.smooth(x, y, t)
 
     def exp_order(self, bound_factor: float = 1.0) -> ExpOrderFn:
-        return ExpOrderFn(
-            fn=self.smooth.fn,
-            bound=self.bound * bound_factor,
-            rates=self.rates,
-            vec=self.vec,
-        )
+        return self.trace_exp_order(self.smooth, bound_factor)
 
     def trace_exp_order(self, smooth: SmoothFn, bound_factor: float = 4.0) -> ExpOrderFn:
         """Certificate reused for derivative traces of this field.
@@ -61,67 +59,127 @@ class FieldFn:
         with a moderately larger constant; the factor only lengthens the
         truncated range.
         """
-        return ExpOrderFn(fn=smooth.fn, bound=self.bound * bound_factor, rates=self.rates)
+        return ExpOrderFn(
+            fn=smooth.fn, bound=self.bound * bound_factor, rates=self.rates,
+            vec=smooth.array,
+        )
 
 
-# -- single-axis atoms -------------------------------------------------------
+# -- single-axis atoms (the interface is documented on SmoothFn) --------------
 
 
-_ZERO = SmoothFn(lambda x, y, t: 0.0)
-_ZERO._resolver = lambda axis: _ZERO
+class _Atom:
+    __slots__ = ("i", "par")
+
+    def __init__(self, axis: str, par: float) -> None:
+        self.i = AXES.index(axis)
+        self.par = float(par)
+
+    @property
+    def axis(self) -> str:
+        return AXES[self.i]
+
+
+class _Power(_Atom):
+    """u^par; infinite at u = 0 for par < 0."""
+
+    def fn(self, u: float) -> float:
+        if u == 0.0 and self.par < 0.0:
+            return math.inf
+        return u ** self.par
+
+    def array(self, u: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.power(u, self.par)
+
+    def derivative(self):
+        if self.par == 1.0:
+            return 1.0, None
+        return self.par, _Power(self.axis, self.par - 1.0)
+
+
+class _Scaled(_Atom):
+    """f(par * u) for f = ``math_f`` on floats and ``np_f`` on arrays."""
+
+    def fn(self, u: float) -> float:
+        return self.math_f(self.par * u)
+
+    def array(self, u: np.ndarray) -> np.ndarray:
+        return self.np_f(self.par * u)
+
+
+class _Exp(_Scaled):
+    math_f, np_f = math.exp, np.exp
+
+    def derivative(self):
+        return self.par, self
+
+
+class _Sin(_Scaled):
+    math_f, np_f = math.sin, np.sin
+
+    def derivative(self):
+        return self.par, _Cos(self.axis, self.par)
+
+
+class _Cos(_Scaled):
+    math_f, np_f = math.cos, np.cos
+
+    def derivative(self):
+        return -self.par, _Sin(self.axis, self.par)
+
+
+class _MLKernel(_Atom):
+    """u^(beta-1) E_{gamma,beta}(c u^gamma); values only."""
+
+    __slots__ = ("ml", "c")
+
+    def __init__(self, axis: str, gamma: float, beta: float, c: float) -> None:
+        super().__init__(axis, beta)
+        self.ml = MLParams(gamma, beta)
+        self.c = float(c)
+
+    def fn(self, u: float) -> float:
+        beta = self.par
+        if u == 0.0:
+            if beta == 1.0:
+                return 1.0
+            return 0.0 if beta > 1.0 else math.inf
+        return u ** (beta - 1.0) * mittag_leffler(self.ml, self.c * u ** self.ml.gamma)
+
+    def array(self, u: np.ndarray) -> np.ndarray:
+        return np.vectorize(self.fn, otypes=[float])(u)
+
+    def derivative(self):
+        raise MissingDerivative(f"no derivative available along {self.axis!r}")
 
 
 def const_fn(c: float) -> SmoothFn:
-    if c == 0.0:
-        return _ZERO
-    return SmoothFn(lambda x, y, t: c, lambda axis: _ZERO)
+    return SmoothFn([(c, ())])
 
 
-def _coord(axis: str):
-    i = AXES.index(axis)
-    return lambda x, y, t: (x, y, t)[i]
+def _atom_fn(atom: _Atom) -> SmoothFn:
+    return SmoothFn([(1.0, (atom,))])
 
 
 def axis_power(axis: str, nu: float) -> SmoothFn:
     """coord^nu along one axis; derivative chain nu * coord^(nu-1)."""
-    coord = _coord(axis)
     if nu == 0.0:
         return const_fn(1.0)
-
-    def fn(x, y, t):
-        u = coord(x, y, t)
-        if u == 0.0 and nu < 0.0:
-            return math.inf
-        return u ** nu
-
-    def resolver(ax: str):
-        if ax != axis:
-            return const_fn(0.0)
-        return axis_power(axis, nu - 1.0) * nu
-
-    return SmoothFn(fn, resolver)
+    return _atom_fn(_Power(axis, nu))
 
 
 def axis_exp(axis: str, lam: float) -> SmoothFn:
     """exp(lam * coord) along one axis; closed under differentiation."""
-    coord = _coord(axis)
-    out = SmoothFn(lambda x, y, t: math.exp(lam * coord(x, y, t)))
-    out._resolver = lambda ax: (out * lam) if ax == axis else const_fn(0.0)
-    return out
+    return _atom_fn(_Exp(axis, lam))
 
 
 def axis_sin(axis: str, omega: float) -> SmoothFn:
-    coord = _coord(axis)
-    out = SmoothFn(lambda x, y, t: math.sin(omega * coord(x, y, t)))
-    out._resolver = lambda ax: (axis_cos(axis, omega) * omega) if ax == axis else const_fn(0.0)
-    return out
+    return _atom_fn(_Sin(axis, omega))
 
 
 def axis_cos(axis: str, omega: float) -> SmoothFn:
-    coord = _coord(axis)
-    out = SmoothFn(lambda x, y, t: math.cos(omega * coord(x, y, t)))
-    out._resolver = lambda ax: (axis_sin(axis, omega) * -omega) if ax == axis else const_fn(0.0)
-    return out
+    return _atom_fn(_Cos(axis, omega))
 
 
 # -- catalog -----------------------------------------------------------------
@@ -132,65 +190,24 @@ def _exp3(cx: float, cy: float, ct: float) -> SmoothFn:
 
 
 def _catalog() -> dict[str, FieldFn]:
+    pi = math.pi
     entries = [
+        FieldFn("const", const_fn(1.0), 1.0, (0.0, 0.0, 0.0)),
+        FieldFn("t", axis_power("t", 1.0), 1.0, (0.0, 0.0, 0.5)),
+        FieldFn("t-squared", axis_power("t", 2.0), 2.5, (0.0, 0.0, 0.5)),
+        FieldFn("sqrt-t", axis_power("t", 0.5), 1.0, (0.0, 0.0, 0.5)),
+        FieldFn("xt", axis_power("x", 1.0) * axis_power("t", 1.0), 1.0, (0.5, 0.0, 0.5)),
         FieldFn(
-            "const", const_fn(1.0), 1.0, (0.0, 0.0, 0.0),
-            vec=lambda x, y, t: np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "t", axis_power("t", 1.0), 1.0, (0.0, 0.0, 0.5),
-            vec=lambda x, y, t: t * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "t-squared", axis_power("t", 2.0), 2.5, (0.0, 0.0, 0.5),
-            vec=lambda x, y, t: t**2 * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "sqrt-t", axis_power("t", 0.5), 1.0, (0.0, 0.0, 0.5),
-            vec=lambda x, y, t: np.sqrt(t) * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "xt", axis_power("x", 1.0) * axis_power("t", 1.0), 1.0, (0.5, 0.0, 0.5),
-            vec=lambda x, y, t: x * t * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "xyt",
-            axis_power("x", 1.0) * axis_power("y", 1.0) * axis_power("t", 1.0),
+            "xyt", axis_power("x", 1.0) * axis_power("y", 1.0) * axis_power("t", 1.0),
             1.0, (0.5, 0.5, 0.5),
-            vec=lambda x, y, t: x * y * t * np.ones(np.broadcast(x, y, t).shape),
         ),
-        FieldFn(
-            "exp-xyt", _exp3(-1.0, -1.0, -1.0), 1.0, (-1.0, -1.0, -1.0),
-            vec=lambda x, y, t: np.exp(-(x + y + t)) * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "exp-2xyt", _exp3(-2.0, -2.0, -2.0), 1.0, (-2.0, -2.0, -2.0),
-            vec=lambda x, y, t: np.exp(-2.0 * (x + y + t)) * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "exp-y", axis_exp("y", -1.0), 1.0, (0.0, -1.0, 0.0),
-            vec=lambda x, y, t: np.exp(-y) * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "exp-t", axis_exp("t", -1.0), 1.0, (0.0, 0.0, -1.0),
-            vec=lambda x, y, t: np.exp(-t) * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "sine-product", axis_sin("x", math.pi) * axis_sin("y", math.pi),
-            1.0, (0.0, 0.0, 0.0),
-            vec=lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y)
-            * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "sin-pit", axis_sin("t", math.pi), 1.0, (0.0, 0.0, 0.0),
-            vec=lambda x, y, t: np.sin(np.pi * t) * np.ones(np.broadcast(x, y, t).shape),
-        ),
-        FieldFn(
-            "sinpix-expt", axis_sin("x", math.pi) * axis_exp("t", -1.0),
-            1.0, (0.0, 0.0, -1.0),
-            vec=lambda x, y, t: np.sin(np.pi * x) * np.exp(-t)
-            * np.ones(np.broadcast(x, y, t).shape),
-        ),
+        FieldFn("exp-xyt", _exp3(-1.0, -1.0, -1.0), 1.0, (-1.0, -1.0, -1.0)),
+        FieldFn("exp-2xyt", _exp3(-2.0, -2.0, -2.0), 1.0, (-2.0, -2.0, -2.0)),
+        FieldFn("exp-y", axis_exp("y", -1.0), 1.0, (0.0, -1.0, 0.0)),
+        FieldFn("exp-t", axis_exp("t", -1.0), 1.0, (0.0, 0.0, -1.0)),
+        FieldFn("sine-product", axis_sin("x", pi) * axis_sin("y", pi), 1.0, (0.0, 0.0, 0.0)),
+        FieldFn("sin-pit", axis_sin("t", pi), 1.0, (0.0, 0.0, 0.0)),
+        FieldFn("sinpix-expt", axis_sin("x", pi) * axis_exp("t", -1.0), 1.0, (0.0, 0.0, -1.0)),
     ]
     return {e.name: e for e in entries}
 
@@ -238,22 +255,12 @@ def ml_kernel_field(gamma: float, beta: float, c: float, axis: str = "y") -> Fie
     For c > 0 the kernel grows like exp(c^(1/gamma) u); the certificate
     rate reflects that, so forward quadrature demands ratio > c^(1/gamma).
     """
-    p = MLParams(gamma, beta)
-    coord = _coord(axis)
-
-    def fn(x, y, t):
-        u = coord(x, y, t)
-        if u == 0.0:
-            if beta == 1.0:
-                return 1.0 / math.gamma(beta)
-            return 0.0 if beta > 1.0 else math.inf
-        return u ** (beta - 1.0) * mittag_leffler(p, c * u ** gamma)
-
+    kernel = _atom_fn(_MLKernel(axis, gamma, beta, c))
     rate = c ** (1.0 / gamma) if c > 0.0 else 0.0
     bound = 4.0 * (1.0 + 1.0 / gamma) * (1.0 + abs(c))
     return FieldFn(
         f"ml-kernel-{gamma:g}-{beta:g}-{c:g}",
-        SmoothFn(fn),
+        kernel,
         bound,
         tuple(rate if ax == axis else 0.0 for ax in AXES),
     )

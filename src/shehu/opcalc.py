@@ -257,7 +257,7 @@ def convolve_3d(
             _legendre_axis(n_eff[1], y),
             _legendre_axis(n_eff[2], t),
         )
-        Z1, Z2, Z3 = np.meshgrid(z1, z2, z3, indexing="ij")
+        Z1, Z2, Z3 = np.meshgrid(z1, z2, z3, indexing="ij", sparse=True)
         vals = fv(x - Z1, y - Z2, t - Z3) * gv(Z1, Z2, Z3)
         return float(np.einsum("i,j,k,ijk->", w1, w2, w3, vals))
 
@@ -295,71 +295,27 @@ def convolved_exp_order(
     return ExpOrderFn(fn=fn, bound=bound, rates=rates)
 
 
-# -- separable-factor quadrature (verification side) ---------------------------
+# -- separable quadrature (verification side) ---------------------------------
 #
-# Every suite test function is a product of single-axis factors, so the
-# quadrature side of each identity factorizes into 1-D integrals.  The
-# fractional operators are still evaluated numerically from their defining
-# integrals (cached Gauss-Jacobi for the weakly singular kernel), keeping
-# both sides of every row independent of the closed-form rules under test.
+# Every field is a sum of terms c * (atoms on x) * (atoms on y) * (atoms on t),
+# so the quadrature side of each identity factorizes into 1-D integrals over
+# the atoms of one axis.  The fractional operators are still evaluated
+# numerically from their defining integrals (cached Gauss-Jacobi for the
+# weakly singular kernel) on atom values and integer-order derivatives,
+# keeping both sides of every row independent of the closed-form rules under
+# test.
 
 
-@dataclass(frozen=True)
-class _Factor:
-    kind: str  # power | exp | sin | cos
-    par: float
-    coef: float = 1.0
-
-    def vals(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "power":
-            if self.par == 0.0:
-                out = np.ones_like(u)
-            else:
-                out = np.where(u > 0.0, u, 1.0) ** self.par
-                out = np.where(u > 0.0, out, 0.0 if self.par > 0 else np.inf)
-            return self.coef * out
-        if self.kind == "exp":
-            return self.coef * np.exp(self.par * u)
-        if self.kind == "sin":
-            return self.coef * np.sin(self.par * u)
-        return self.coef * np.cos(self.par * u)
-
-    def derivative(self) -> "_Factor":
-        if self.kind == "power":
-            if self.par == 0.0:
-                return _Factor("power", 0.0, 0.0)
-            return _Factor("power", self.par - 1.0, self.coef * self.par)
-        if self.kind == "exp":
-            return _Factor("exp", self.par, self.coef * self.par)
-        if self.kind == "sin":
-            return _Factor("cos", self.par, self.coef * self.par)
-        return _Factor("sin", self.par, -self.coef * self.par)
-
-    @property
-    def growth_rate(self) -> float:
-        if self.kind == "exp":
-            return max(self.par, 0.0)
-        return 0.0
+def _on_axis(atoms, axis: str) -> tuple:
+    i = AXES.index(axis)
+    return tuple(a for a in atoms if a.i == i)
 
 
-_FIELD_FACTORS: dict[str, dict[str, _Factor]] = {
-    "const": {ax: _Factor("power", 0.0) for ax in AXES},
-    "t": {"x": _Factor("power", 0.0), "y": _Factor("power", 0.0), "t": _Factor("power", 1.0)},
-    "t-squared": {"x": _Factor("power", 0.0), "y": _Factor("power", 0.0), "t": _Factor("power", 2.0)},
-    "xt": {"x": _Factor("power", 1.0), "y": _Factor("power", 0.0), "t": _Factor("power", 1.0)},
-    "xyt": {ax: _Factor("power", 1.0) for ax in AXES},
-    "exp-xyt": {ax: _Factor("exp", -1.0) for ax in AXES},
-    "exp-2xyt": {ax: _Factor("exp", -2.0) for ax in AXES},
-    "exp-t": {"x": _Factor("power", 0.0), "y": _Factor("power", 0.0), "t": _Factor("exp", -1.0)},
-    "exp-y": {"x": _Factor("power", 0.0), "y": _Factor("exp", -1.0), "t": _Factor("power", 0.0)},
-    "sine-product": {
-        "x": _Factor("sin", math.pi), "y": _Factor("sin", math.pi), "t": _Factor("power", 0.0),
-    },
-    "sinpix-expt": {
-        "x": _Factor("sin", math.pi), "y": _Factor("power", 0.0), "t": _Factor("exp", -1.0),
-    },
-}
+def _atoms_array(atoms, u: np.ndarray) -> np.ndarray:
+    out = np.ones_like(u)
+    for a in atoms:
+        out = out * a.array(u)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -367,54 +323,40 @@ def _jacobi_rule(n: int, alpha: float):
     return roots_jacobi(n, alpha, 0.0)
 
 
-def _factor_frac_integral(fac: _Factor, order: float, u: np.ndarray, n_jac: int = 24):
-    """I^order of a factor at nodes ``u``, by Gauss-Jacobi on the definition."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+def _frac_integral(atoms, order: float, u: float, n_jac: int = 24) -> float:
+    """I^order of a product of atoms at ``u``, by Gauss-Jacobi on the definition."""
     xi, wi = _jacobi_rule(n_jac, order - 1.0)
-    tau = u[:, None] * (1.0 + xi[None, :]) / 2.0
-    vals = fac.vals(tau)
-    out = (u / 2.0) ** order / math.gamma(order) * (vals @ wi)
-    return out
-
-
-def _factor_caputo(fac: _Factor, order: FracOrder, u: np.ndarray, n_jac: int = 24):
-    """Caputo derivative of a factor at nodes ``u`` from the definition."""
-    n = order.ceil
-    dfac = fac
-    for _ in range(n):
-        dfac = dfac.derivative()
-    if order.is_integer:
-        return dfac.vals(u)
-    return _factor_frac_integral(dfac, n - order.value, u, n_jac)
+    tau = u * (1.0 + xi) / 2.0
+    return (u / 2.0) ** order / math.gamma(order) * float(_atoms_array(atoms, tau) @ wi)
 
 
 def _axis_transform(
-    fac: _Factor,
+    atoms,
+    rate: float,
     rho: float,
-    op: tuple[str, float] | None = None,
-    rel_tol: float = 1e-11,
+    order: float | None = None,
 ) -> float:
-    """1-D transform of a factor, optionally of its fractional image.
+    """1-D transform of a product of atoms, or of its fractional integral.
 
-    ``op`` is None, ("integral", g), or ("caputo", g); the fractional
-    images are computed numerically from their defining integrals.
+    ``rate`` is the field's certified exponential rate on this axis; the
+    integral of ``order`` is computed numerically from its definition.
     """
-    gap = rho - fac.growth_rate
+    gap = rho - max(rate, 0.0)
     if gap <= 0.0:
-        raise QuadratureError(f"ratio {rho} inside growth rate of {fac}")
-    upper = (40.0 + 8.0 * abs(fac.par if fac.kind == "power" else 0.0)) / gap
+        raise QuadratureError(f"ratio {rho} inside growth rate {rate}")
+    upper = 40.0 / gap
 
-    if op is None:
-        g_vals = fac.vals
-    elif op[0] == "integral":
-        g_vals = lambda u: _factor_frac_integral(fac, op[1], u)
+    if order is None:
+        def integrand(u: float) -> float:
+            v = math.exp(-rho * u)
+            for a in atoms:
+                v *= a.fn(u)
+            return v
     else:
-        g_vals = lambda u: _factor_caputo(fac, FracOrder(op[1]), u)
+        def integrand(u: float) -> float:
+            return math.exp(-rho * u) * _frac_integral(atoms, order, u)
 
-    def integrand(u: float) -> float:
-        return math.exp(-rho * u) * float(np.asarray(g_vals(u)).reshape(-1)[0])
-
-    out = quad(integrand, 0.0, upper, epsabs=1e-14, epsrel=rel_tol,
+    out = quad(integrand, 0.0, upper, epsabs=1e-14, epsrel=1e-11,
                limit=300, full_output=1)
     if len(out) > 3:
         raise QuadratureError(f"axis transform failed: {out[3]}")
@@ -422,17 +364,33 @@ def _axis_transform(
 
 
 def _sep_transform(
-    fname: str,
+    fld: FieldFn,
     vars: RatioPoint,
     ops: Mapping[str, tuple[str, float]] | None = None,
 ) -> float:
-    """Triple transform of a separable catalog field as per-axis integrals."""
-    ops = ops or {}
-    out = 1.0
-    for ax in AXES:
-        fac = _FIELD_FACTORS[fname][ax]
-        out *= _axis_transform(fac, float(vars.ratio(ax)), ops.get(ax))
-    return out
+    """Triple transform of ``fld``, or of its fractional image, term by term.
+
+    ``ops`` maps an axis to ("integral", g) or ("caputo", g).  A Caputo op
+    takes the ceil(g)-th partial through the atoms' derivatives and leaves
+    the remaining integral of order ceil(g) - g to quadrature.
+    """
+    smooth, frac = fld.smooth, {}
+    for ax, (kind, g) in (ops or {}).items():
+        if kind == "caputo":
+            order = FracOrder(g)
+            smooth = smooth.partial_n(ax, order.ceil)
+            if order.is_integer:
+                continue
+            g = order.ceil - order.value
+        frac[ax] = g
+    total = 0.0
+    for c, atoms in smooth.terms:
+        for ax, rate in zip(AXES, fld.rates):
+            c *= _axis_transform(
+                _on_axis(atoms, ax), rate, float(vars.ratio(ax)), frac.get(ax)
+            )
+        total += c
+    return total
 
 
 def _rel_err(lhs: float, rhs: float) -> float:
@@ -577,7 +535,7 @@ def _suite_operational_integrals(report: VerificationReport, rng) -> None:
         )
         report.add(f"{tag}/exp-xyt/adaptive", lhs, rhs)
 
-    # Remaining double and triple instances ride the separable-factor path;
+    # Remaining double and triple instances ride the separable path;
     # fractional integrals stay numeric (Gauss-Jacobi on the definition).
     sep_cases = [
         ("int-2d/y", "sine-product", {"y": ("integral", 0.5)}),
@@ -606,9 +564,9 @@ def _suite_operational_integrals(report: VerificationReport, rng) -> None:
     for tag, fname, ops in sep_cases:
         fld = get_field(fname)
         vars = _seeded_ratio_points(rng, 1, fld.rates)[0]
-        lhs = _sep_transform(fname, vars, ops)
+        lhs = _sep_transform(fld, vars, ops)
         orders = {ax: spec[1] for ax, spec in ops.items()}
-        rhs = integral_rule(_sep_transform(fname, vars), vars, orders)
+        rhs = integral_rule(_sep_transform(fld, vars), vars, orders)
         order_tag = "-".join(f"{ax}{g:g}" for ax, (_, g) in sorted(ops.items()))
         report.add(f"{tag}/{fname}/{order_tag}", lhs, rhs)
 
@@ -694,10 +652,10 @@ def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
     for tag, fname, axis, gval in sep_cases:
         fld = get_field(fname)
         vars = _seeded_ratio_points(rng, 1, fld.rates)[0]
-        lhs = _sep_transform(fname, vars, {axis: ("caputo", gval)})
+        lhs = _sep_transform(fld, vars, {axis: ("caputo", gval)})
         bnd = boundary_from_quadrature(fld, vars, {axis: gval}, AXES, cfg)
         rhs = caputo_rule(
-            _sep_transform(fname, vars), vars, {axis: gval}, bnd, transform_axes=AXES
+            _sep_transform(fld, vars), vars, {axis: gval}, bnd, transform_axes=AXES
         )
         report.add(f"{tag}/{fname}/{axis}/g{gval}", lhs, rhs)
 
@@ -707,10 +665,10 @@ def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
         vars = _seeded_ratio_points(rng, 1, fld.rates)[0]
         orders3 = {"x": 0.4, "y": 0.6, "t": 0.8}
         ops = {ax: ("caputo", g) for ax, g in orders3.items()}
-        lhs = _sep_transform(fname, vars, ops)
+        lhs = _sep_transform(fld, vars, ops)
         bnd = boundary_from_quadrature(fld, vars, orders3, AXES, cfg)
         rhs = caputo_rule(
-            _sep_transform(fname, vars), vars, orders3, bnd, transform_axes=AXES
+            _sep_transform(fld, vars), vars, orders3, bnd, transform_axes=AXES
         )
         report.add(f"cap-3d-all/{fname}", lhs, rhs)
 
@@ -736,15 +694,16 @@ def _tensor_transform(fn, vars: RatioPoint, n: int = 20) -> float:
     return acc / (rho[0] * rho[1] * rho[2])
 
 
-def _conv1d_transform(fac_f: _Factor, fac_g: _Factor, rho: float) -> float:
-    """Transform of the 1-D numeric convolution of two factors."""
+def _conv1d_transform(atoms_f, atoms_g, rate: float, rho: float) -> float:
+    """Transform of the 1-D numeric convolution of two products of atoms."""
     xi, wi = roots_legendre(24)
 
     def conv1d(u: float) -> float:
         v = 0.5 * u * (xi + 1.0)
-        return 0.5 * u * float(np.dot(wi, fac_f.vals(u - v) * fac_g.vals(v)))
+        vals = _atoms_array(atoms_f, u - v) * _atoms_array(atoms_g, v)
+        return 0.5 * u * float(np.dot(wi, vals))
 
-    gap = rho - max(fac_f.growth_rate, fac_g.growth_rate)
+    gap = rho - max(rate, 0.0)
     if gap <= 0.0:
         raise QuadratureError(f"ratio {rho} inside convolution growth rate")
     upper = 45.0 / gap
@@ -759,7 +718,8 @@ def _suite_convolution(report: VerificationReport, rng) -> None:
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, tail_cut_tol=1e-11)
     pairs = (("exp-xyt", "exp-xyt"), ("exp-xyt", "exp-2xyt"))
     for fname, gname in pairs:
-        f, g = get_field(fname).exp_order(), get_field(gname).exp_order()
+        fld_f, fld_g = get_field(fname), get_field(gname)
+        f, g = fld_f.exp_order(), fld_g.exp_order()
         for k in range(3):
             ratios = tuple(float(rng.uniform(1.5, 3.0)) for _ in range(3))
             vars = RatioPoint.from_ratios(*ratios)
@@ -770,13 +730,17 @@ def _suite_convolution(report: VerificationReport, rng) -> None:
                 lhs = _tensor_transform(conv.fn, vars)
                 tag = "box"
             else:
-                # per-axis numeric convolutions of the separable factors
-                lhs = 1.0
-                for ax in AXES:
-                    lhs *= _conv1d_transform(
-                        _FIELD_FACTORS[fname][ax], _FIELD_FACTORS[gname][ax],
-                        float(vars.ratio(ax)),
-                    )
+                # per-axis numeric convolutions, term by term
+                lhs = 0.0
+                for cf, af in fld_f.smooth.terms:
+                    for cg, ag in fld_g.smooth.terms:
+                        term = cf * cg
+                        for ax, rf, rg in zip(AXES, fld_f.rates, fld_g.rates):
+                            term *= _conv1d_transform(
+                                _on_axis(af, ax), _on_axis(ag, ax), max(rf, rg),
+                                float(vars.ratio(ax)),
+                            )
+                        lhs += term
                 tag = "peraxis"
             report.add(f"product-law/{fname}*{gname}/{tag}{k}", lhs, rhs)
 

@@ -4,16 +4,25 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shehu.errors import MissingDerivative
+from shehu.errors import DomainError, MissingDerivative
 from shehu.fracops import (
+    AXES,
     FracOrder,
-    SmoothFn,
     caputo_derivative,
     power_rule_integral,
     rl_derivative,
     rl_integral,
 )
-from shehu.funclib import axis_exp, axis_power, axis_sin, const_fn, get_field
+from shehu.funclib import (
+    axis_exp,
+    axis_power,
+    axis_sin,
+    catalog,
+    const_fn,
+    get_field,
+    ml_kernel_field,
+    power_field,
+)
 
 
 def poly_t(coeffs):
@@ -43,30 +52,46 @@ class TestFracOrder:
 
 class TestSmoothFn:
     def test_derivative_chains_match_finite_differences(self):
-        """Chain evaluators agree with central differences to 1e-5."""
-        fields = [
-            get_field("exp-xyt"),
-            get_field("sine-product"),
-            get_field("xyt"),
-        ]
+        """First and second (also mixed) partials of every catalog field
+        agree with central differences of the order below to 1e-5."""
         h = 1e-6
         pts = [(0.5, 0.7, 0.9), (1.1, 0.4, 1.4)]
-        for fld in fields:
-            for axis in ("x", "y", "t"):
-                d = fld.smooth.partial(axis)
-                for pt in pts:
-                    up = list(pt)
-                    dn = list(pt)
-                    i = {"x": 0, "y": 1, "t": 2}[axis]
-                    up[i] += h
-                    dn[i] -= h
-                    fd = (fld.smooth(*up) - fld.smooth(*dn)) / (2 * h)
-                    assert abs(d(*pt) - fd) <= 1e-5 * max(1.0, abs(fd))
+
+        def check(name, f, d, axis):
+            i = AXES.index(axis)
+            for pt in pts:
+                up, dn = list(pt), list(pt)
+                up[i] += h
+                dn[i] -= h
+                fd = (f(*up) - f(*dn)) / (2 * h)
+                assert abs(d(*pt) - fd) <= 1e-5 * max(1.0, abs(fd)), (name, axis, pt)
+
+        for name, fld in catalog().items():
+            for a in AXES:
+                d = fld.smooth.partial(a)
+                check(name, fld.smooth, d, a)
+                for b in AXES:
+                    check(name, d, d.partial(b), b)
+
+    @pytest.mark.parametrize(
+        "fld",
+        list(catalog().values()) + [power_field(0.5), ml_kernel_field(0.5, 1.0, -1.0)],
+        ids=lambda fld: fld.name,
+    )
+    def test_array_evaluator_matches_scalar(self, fld):
+        """The broadcast array evaluator equals the scalar one elementwise."""
+        x = np.array([0.0, 0.3, 1.7])[:, None, None]
+        y = np.array([0.0, 0.45, 2.2])[None, :, None]
+        t = np.array([0.0, 0.8, 3.1])
+        got = fld.smooth.array(x, y, t)
+        assert got.shape == (3, 3, 3)
+        ref = [[[fld(xi, yj, tk) for tk in t] for yj in y.ravel()] for xi in x.ravel()]
+        assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
     def test_missing_derivative(self):
-        bare = SmoothFn(lambda x, y, t: x * y * t)
+        kernel = ml_kernel_field(0.5, 1.0, -1.0, axis="y").smooth
         with pytest.raises(MissingDerivative):
-            bare.partial("t")
+            kernel.partial("y")
 
     def test_algebra_product_rule(self):
         f = axis_power("t", 2.0) * axis_exp("t", -1.0)
@@ -143,9 +168,8 @@ class TestCaputo:
         assert_allclose(got, 6.0, rtol=1e-13)
 
     def test_missing_derivative_chain(self):
-        bare = SmoothFn(lambda x, y, t: t * t)
         with pytest.raises(MissingDerivative):
-            caputo_derivative(bare, "t", 0.5, (0.0, 0.0, 1.0))
+            caputo_derivative(lambda x, y, t: t * t, "t", 0.5, (0.0, 0.0, 1.0))
 
     def test_inverse_pairing_derivative_of_integral(self):
         """D^g I^g f = f on polynomials (composition identity, orders < 1)."""
@@ -155,31 +179,15 @@ class TestCaputo:
         for _ in range(3):
             g = float(rng.uniform(0.15, 0.85))
             p = float(rng.uniform(0.5, 1.5))
-            # closed-form fractional integral via the power rule keeps the
-            # outer Caputo quadrature independent of rl_integral
-            parts = [
-                (c, k) for k, c in enumerate(coeffs) if c != 0.0
-            ]
-
-            def int_f(x, y, t, _parts=parts, _g=g):
-                return sum(
-                    c * power_rule_integral(float(k), _g, t) for c, k in _parts
-                )
-
-            def int_f_deriv(x, y, t, _parts=parts, _g=g):
-                return sum(
-                    c
-                    * math.gamma(k + 1.0)
-                    / math.gamma(k + _g)
-                    * t ** (k + _g - 1.0)
-                    for c, k in _parts
-                )
-
-            smooth = SmoothFn(
-                int_f,
-                lambda axis, _d=int_f_deriv: SmoothFn(_d) if axis == "t" else None,
-            )
-            got = caputo_derivative(smooth, "t", g, (0.0, 0.0, p))
+            # closed-form fractional integral via the power rule, as a sum
+            # of non-integer power atoms, keeps the outer Caputo quadrature
+            # independent of rl_integral
+            int_f = const_fn(0.0)
+            for k, c in enumerate(coeffs):
+                if c != 0.0:
+                    coef = c * power_rule_integral(float(k), g, 1.0)
+                    int_f = int_f + axis_power("t", k + g) * coef
+            got = caputo_derivative(int_f, "t", g, (0.0, 0.0, p))
             assert_allclose(got, f(0.0, 0.0, p), rtol=1e-6)
 
     @pytest.mark.parametrize("g", [0.4, 0.7, 1.3, 1.8])
@@ -216,6 +224,20 @@ class TestRLDerivative:
     def test_integer_order_classical(self):
         got = rl_derivative(axis_power("t", 3.0), "t", 2.0, (0.0, 0.0, 1.0))
         assert_allclose(got, 6.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("g", [0.5, 1.5])
+    def test_origin_is_refused(self, g):
+        with pytest.raises(DomainError):
+            rl_derivative(const_fn(1.0), "t", g, (0.0, 0.0, 0.0))
+
+    def test_second_difference_stays_in_domain_near_origin(self):
+        """At p = 3e-4 the widened n = 2 step is capped at p/2."""
+        g, p = 1.5, 3e-4
+        got = rl_derivative(const_fn(1.0), "t", g, (0.0, 0.0, p))
+        # the capped step is as wide as p/2, so the second difference of
+        # p^(1/2) carries about 9% truncation error; sign and scale are
+        # what this point can check
+        assert_allclose(got, p ** -g / math.gamma(1.0 - g), rtol=0.1)
 
     def test_sin_derivative_order_half(self):
         """RL and Caputo differ by the t^-g/Gamma(1-g) term only for f(0) != 0."""
