@@ -294,9 +294,10 @@ def rl_derivative(
 
     The outer derivative is taken numerically by central differences with
     step h = 1e-5 * max(1, p) (5e-4 * max(1, p) for second differences),
-    capped at p/2 so that no node leaves the domain; only values of ``f``
-    enter the inner integral.  Integer g dispatches to the classical
-    partial and then requires a SmoothFn.
+    capped at p/100 so that no node leaves the domain and, near the
+    origin, the truncation error on the p^(n-g) growth stays near 3e-5;
+    only values of ``f`` enter the inner integral.  Integer g dispatches
+    to the classical partial and then requires a SmoothFn.
 
     Raises:
         DomainError: for a non-integer order at p <= 0, where the
@@ -316,7 +317,7 @@ def rl_derivative(
         raise DomainError(
             f"RL derivative of order {order.value} needs {axis} > 0, got {p}"
         )
-    h = min(1e-5 * max(1.0, p), p / 2.0)
+    h = min(1e-5 * max(1.0, p), p / 100.0)
 
     def rl_at(q: float) -> float:
         return _weak_singular_integral(
@@ -327,7 +328,7 @@ def rl_derivative(
         return (rl_at(p + h) - rl_at(p - h)) / (2.0 * h)
     if n == 2:
         # wider step: second differences amplify quadrature noise by 1/h^2
-        h = min(max(h, 5e-4 * max(1.0, p)), p / 2.0)
+        h = min(max(h, 5e-4 * max(1.0, p)), p / 100.0)
         return (rl_at(p + h) - 2.0 * rl_at(p) + rl_at(p - h)) / (h * h)
     raise QuadratureError(
         f"RL derivative implemented for ceilings 1 and 2, got n={n}"

@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
 
 from .errors import MissingBoundary, QuadratureError, UnknownSuite
 from .forward import (
@@ -217,8 +217,17 @@ def _transform_over(f: ExpOrderFn, axes: Sequence[str], vars, cfg, frozen):
 # -- convolution -------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _gauss_rule(family: Callable, *args):
+    """(nodes, weights) of a scipy Gauss rule, cached and read-only: callers share them."""
+    rule = family(*args)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _legendre_axis(n: int, length: float):
-    xi, wi = roots_legendre(n)
+    xi, wi = _gauss_rule(roots_legendre, n)
     return 0.5 * length * (xi + 1.0), 0.5 * length * wi
 
 
@@ -318,14 +327,9 @@ def _atoms_array(atoms, u: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _jacobi_rule(n: int, alpha: float):
-    return roots_jacobi(n, alpha, 0.0)
-
-
 def _frac_integral(atoms, order: float, u: float, n_jac: int = 24) -> float:
     """I^order of a product of atoms at ``u``, by Gauss-Jacobi on the definition."""
-    xi, wi = _jacobi_rule(n_jac, order - 1.0)
+    xi, wi = _gauss_rule(roots_jacobi, n_jac, order - 1.0, 0.0)
     tau = u * (1.0 + xi) / 2.0
     return (u / 2.0) ** order / math.gamma(order) * float(_atoms_array(atoms, tau) @ wi)
 
@@ -673,15 +677,9 @@ def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
         report.add(f"cap-3d-all/{fname}", lhs, rhs)
 
 
-def _laguerre_nodes(n: int):
-    from scipy.special import roots_laguerre
-
-    return roots_laguerre(n)
-
-
 def _tensor_transform(fn, vars: RatioPoint, n: int = 20) -> float:
     """Fixed Gauss-Laguerre tensor rule for the triple transform of ``fn``."""
-    xi, wi = _laguerre_nodes(n)
+    xi, wi = _gauss_rule(roots_laguerre, n)
     rho = [float(vars.ratio(ax)) for ax in AXES]
     acc = 0.0
     for i in range(n):
@@ -696,7 +694,7 @@ def _tensor_transform(fn, vars: RatioPoint, n: int = 20) -> float:
 
 def _conv1d_transform(atoms_f, atoms_g, rate: float, rho: float) -> float:
     """Transform of the 1-D numeric convolution of two products of atoms."""
-    xi, wi = roots_legendre(24)
+    xi, wi = _gauss_rule(roots_legendre, 24)
 
     def conv1d(u: float) -> float:
         v = 0.5 * u * (xi + 1.0)

@@ -230,14 +230,13 @@ class TestRLDerivative:
         with pytest.raises(DomainError):
             rl_derivative(const_fn(1.0), "t", g, (0.0, 0.0, 0.0))
 
-    def test_second_difference_stays_in_domain_near_origin(self):
-        """At p = 3e-4 the widened n = 2 step is capped at p/2."""
-        g, p = 1.5, 3e-4
+    @pytest.mark.parametrize("g", [0.5, 1.5])
+    @pytest.mark.parametrize("p", [3e-4, 1e-3])
+    def test_second_difference_stays_in_domain_near_origin(self, g, p):
+        """Near the origin both difference steps are capped at p/100."""
         got = rl_derivative(const_fn(1.0), "t", g, (0.0, 0.0, p))
-        # the capped step is as wide as p/2, so the second difference of
-        # p^(1/2) carries about 9% truncation error; sign and scale are
-        # what this point can check
-        assert_allclose(got, p ** -g / math.gamma(1.0 - g), rtol=0.1)
+        # truncation error of the capped second difference is about 3e-5
+        assert_allclose(got, p ** -g / math.gamma(1.0 - g), rtol=1e-3)
 
     def test_sin_derivative_order_half(self):
         """RL and Caputo differ by the t^-g/Gamma(1-g) term only for f(0) != 0."""

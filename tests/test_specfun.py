@@ -1,10 +1,13 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import erfcx
 
 from shehu.errors import ConvergenceError, DivergenceError, PoleError
 from shehu.specfun import (
@@ -20,6 +23,42 @@ SQRT_PI = 1.7724538509055159
 # frozen: 200-term extended-precision summation of the defining series,
 # cross-checked against exp(1) * erfc(1)
 E_HALF_AT_MINUS_1 = 0.4275835761558073
+
+
+def ml_closed_form(g: float, z: complex) -> complex:
+    """E_{g,1}(z) for g in {1/2, 1, 2}: erfcx(-z), exp(z), cosh(sqrt z)."""
+    if g == 0.5:
+        return complex(erfcx(-complex(z)))
+    if g == 1.0:
+        return cmath.exp(z)
+    return cmath.cosh(cmath.sqrt(z))
+
+
+def ml_reference(g: float, b: float, z: complex) -> complex:
+    """E_{g,b}(z) from the defining series in mpmath, to about 1e-30 absolute.
+
+    Working digits are sized from the peak term, so cancellation cannot eat
+    the result, and the gamma arguments g*r + b are formed in working
+    precision: rounding them to doubles moves the large terms by more than
+    the result (off by up to 100% at (0.9, 1, -12)).
+    """
+    z = complex(z)
+    log10_z = math.log10(abs(z))
+    peak, r = 0.0, 0
+    while True:
+        term = r * log10_z - math.lgamma(g * r + b) / math.log(10.0)
+        peak = max(peak, term)
+        if term < min(peak, 0.0) - 30.0:
+            break
+        r += 1
+    with mpmath.workdps(int(peak) + 40):
+        mg, mb, mz = mpmath.mpf(g), mpmath.mpf(b), mpmath.mpc(z)
+        return complex(mpmath.fsum(mz ** k * mpmath.rgamma(mg * k + mb) for k in range(r + 1)))
+
+
+def assert_ml_close(got, ref, floor: float = 1e-3):
+    """The documented accuracy: 1e-11 relative, absolute below |E| = floor."""
+    assert abs(got - ref) <= 1e-11 * max(abs(ref), floor), (got, ref)
 
 
 class TestGamma:
@@ -94,7 +133,7 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("z", [-12.0, -20.0, -26.0])
     def test_far_negative_axis(self, z):
-        """Asymptotic regime agrees with E_{1/2}(z) = exp(z^2) erfc(-z)."""
+        """The contour agrees with E_{1/2}(z) = exp(z^2) erfc(-z)."""
         ref = math.exp(z * z) * math.erfc(-z)
         assert_allclose(mittag_leffler(MLParams(0.5, 1.0), z), ref, rtol=1e-10)
 
@@ -107,13 +146,14 @@ class TestMittagLeffler:
     @given(
         st.floats(min_value=0.25, max_value=1.0),
         st.floats(min_value=0.2, max_value=2.0),
-        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=-30.0, max_value=30.0),
     )
     @settings(max_examples=40, deadline=None)
     def test_shift_recurrence(self, g, b, z):
-        """E_{g,b}(z) = z E_{g,b+g}(z) + 1/Gamma(b)."""
+        """E_{g,b}(z) = z E_{g,b+g}(z) + 1/Gamma(b), series and contour alike."""
         lhs = mittag_leffler(MLParams(g, b), z)
         rhs = z * mittag_leffler(MLParams(g, b + g), z) + 1.0 / math.gamma(b)
+        assume(math.isfinite(lhs) and math.isfinite(rhs))  # small g overflows for z > 0
         assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
     def test_invalid_params(self):
@@ -122,9 +162,83 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             MLParams(0.5, -1.0)
 
-    def test_convergence_error_far_complex(self):
+    def test_far_complex_value(self):
+        z = complex(0.0, 200.0)
+        assert_ml_close(mittag_leffler(MLParams(0.5, 1.0), z), ml_closed_form(0.5, z))
+
+    @pytest.mark.parametrize(
+        "g, z",
+        [(1.0, -85.0), (1.0, -100.0), (0.5, -60.0), (0.5, -100.0), (0.5, -150.0),
+         (0.5, complex(-300.0, 50.0))],
+    )
+    def test_former_refusals_closed_form(self, g, z):
+        """Points the extended-precision series used to refuse."""
+        assert_ml_close(mittag_leffler(MLParams(g, 1.0), z), ml_closed_form(g, z), floor=0.0)
+
+    @pytest.mark.parametrize("g, z", [(0.8, -150.0), (0.25, 3.0), (0.3, 4.0)])
+    def test_former_failures_against_series(self, g, z):
+        """E_{0.8,1}(-150) used to refuse; E_{0.25,1}(3) and E_{0.3,1}(4)
+        came out inf where the float series ran out of terms."""
+        got = mittag_leffler(MLParams(g, 1.0), z)
+        assert_ml_close(got, ml_reference(g, 1.0, z), floor=0.0)
+
+    def test_order_one_is_exp_exactly(self):
+        """For gamma = beta = 1 the pole-subtracted integrand vanishes."""
+        for x in (-85.0, -100.0, -30.0):
+            assert mittag_leffler(MLParams(1.0, 1.0), x) == math.exp(x)
+
+    def test_positive_axis_overflow_is_inf(self):
+        assert mittag_leffler(MLParams(0.5, 1.0), 30.0) == math.inf
+
+    @pytest.mark.parametrize(
+        "g, b, z",
+        [(0.5, 1.0, complex(50.0, 10.0)),  # the value is beyond the double range
+         (2.8, 1.8, complex(3.6, 10.3))],  # no contour within 200 nodes
+    )
+    def test_refusal(self, g, b, z):
         with pytest.raises(ConvergenceError):
-            mittag_leffler(MLParams(0.5, 1.0), complex(0.0, 200.0))
+            mittag_leffler(MLParams(g, b), z)
+
+    @given(
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_property(self, g, r, theta, on_negative_axis):
+        """Negative axis and complex plane to |z| = 100 against closed forms.
+
+        cosh(sqrt z) has zeros, so gamma = 2 is checked on an absolute floor
+        of 1; values past the double range are left out.
+        """
+        z = -r if on_negative_axis else cmath.rect(r, theta)
+        ref = ml_closed_form(g, z)
+        assume(abs(ref) < 1e300)
+        got = mittag_leffler(MLParams(g, 1.0), z)
+        assert_ml_close(got, ref, floor=1.0 if g == 2.0 else 0.0)
+
+    @given(
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=0.2, max_value=2.0),
+        st.floats(min_value=5.0, max_value=15.0, exclude_min=True),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_general_orders_against_series(self, g, b, r, theta):
+        z = cmath.rect(r, theta)
+        assert_ml_close(mittag_leffler(MLParams(g, b), z), ml_reference(g, b, z))
+
+    @pytest.mark.parametrize("b", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("r", [6.0, 8.0, 10.0])
+    @pytest.mark.parametrize("g", [1.0, 1.5, 2.0])
+    def test_arg_sweep(self, g, r, b):
+        """arg z sweeps the poles across every level; (g - 2k) pi puts one on the cut."""
+        thetas = np.linspace(-math.pi, math.pi, 73)
+        thetas = np.append(thetas, [(g - 2 * k) * math.pi for k in range(2)])
+        for theta in thetas:
+            z = cmath.rect(r, theta)
+            assert_ml_close(mittag_leffler(MLParams(g, b), z), ml_reference(g, b, z))
 
 
 class TestWrightSeries:
