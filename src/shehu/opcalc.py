@@ -15,8 +15,9 @@ boundary groups with alternating signs.
 
 ``verify_suite`` replaces proofs with numbers: each rule instance is
 evaluated on both sides with independent machinery (adaptive module
-quadrature on one side; fixed Gauss-Laguerre/Gauss-Jacobi tensor rules
-for the heavier instances) and reported row by row.
+quadrature on one side, fixed Gauss-Laguerre/Legendre rules for the
+heavier instances, and fractional operators by fracops' tanh-sinh rule
+on their defining integrals) and reported row by row.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
+from scipy.special import roots_laguerre, roots_legendre
 
 from .errors import MissingBoundary, QuadratureError, UnknownSuite
 from .forward import (
@@ -43,7 +44,7 @@ from .forward import (
     shehu_2d,
     shehu_3d,
 )
-from .fracops import AXES, FracOrder, caputo_derivative, rl_integral
+from .fracops import AXES, FracOrder, SmoothFn, caputo_derivative, rl_integral
 from .funclib import FieldFn, get_field, ml_kernel_field
 from .inverse import DEFAULT_INVERSION, invert_1d, invert_3d
 from .specfun import MLParams, mittag_leffler
@@ -309,10 +310,9 @@ def convolved_exp_order(
 # Every field is a sum of terms c * (atoms on x) * (atoms on y) * (atoms on t),
 # so the quadrature side of each identity factorizes into 1-D integrals over
 # the atoms of one axis.  The fractional operators are still evaluated
-# numerically from their defining integrals (cached Gauss-Jacobi for the
-# weakly singular kernel) on atom values and integer-order derivatives,
-# keeping both sides of every row independent of the closed-form rules under
-# test.
+# numerically from their defining integrals (``rl_integral`` on the atom
+# values, after integer-order derivatives), keeping both sides of every row
+# independent of the closed-form rules under test.
 
 
 def _on_axis(atoms, axis: str) -> tuple:
@@ -327,23 +327,18 @@ def _atoms_array(atoms, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frac_integral(atoms, order: float, u: float, n_jac: int = 24) -> float:
-    """I^order of a product of atoms at ``u``, by Gauss-Jacobi on the definition."""
-    xi, wi = _gauss_rule(roots_jacobi, n_jac, order - 1.0, 0.0)
-    tau = u * (1.0 + xi) / 2.0
-    return (u / 2.0) ** order / math.gamma(order) * float(_atoms_array(atoms, tau) @ wi)
-
-
 def _axis_transform(
     atoms,
+    axis: str,
     rate: float,
     rho: float,
     order: float | None = None,
 ) -> float:
-    """1-D transform of a product of atoms, or of its fractional integral.
+    """1-D transform of a product of atoms on ``axis``, or of its fractional integral.
 
     ``rate`` is the field's certified exponential rate on this axis; the
-    integral of ``order`` is computed numerically from its definition.
+    integral of ``order`` is computed numerically from its definition by
+    ``rl_integral``.
     """
     gap = rho - max(rate, 0.0)
     if gap <= 0.0:
@@ -357,8 +352,11 @@ def _axis_transform(
                 v *= a.fn(u)
             return v
     else:
+        term = SmoothFn([(1.0, atoms)])
+
         def integrand(u: float) -> float:
-            return math.exp(-rho * u) * _frac_integral(atoms, order, u)
+            point = tuple(u if ax == axis else 0.0 for ax in AXES)
+            return math.exp(-rho * u) * rl_integral(term, axis, order, point)
 
     out = quad(integrand, 0.0, upper, epsabs=1e-14, epsrel=1e-11,
                limit=300, full_output=1)
@@ -391,7 +389,7 @@ def _sep_transform(
     for c, atoms in smooth.terms:
         for ax, rate in zip(AXES, fld.rates):
             c *= _axis_transform(
-                _on_axis(atoms, ax), rate, float(vars.ratio(ax)), frac.get(ax)
+                _on_axis(atoms, ax), ax, rate, float(vars.ratio(ax)), frac.get(ax)
             )
         total += c
     return total
@@ -540,7 +538,7 @@ def _suite_operational_integrals(report: VerificationReport, rng) -> None:
         report.add(f"{tag}/exp-xyt/adaptive", lhs, rhs)
 
     # Remaining double and triple instances ride the separable path;
-    # fractional integrals stay numeric (Gauss-Jacobi on the definition).
+    # fractional integrals stay numeric (rl_integral on the definition).
     sep_cases = [
         ("int-2d/y", "sine-product", {"y": ("integral", 0.5)}),
         ("int-2d/x", "sine-product", {"x": ("integral", 1.5)}),

@@ -2,7 +2,8 @@
 
 Each test enforces its stated tolerance and wall-clock budget and prints
 one ``A<n> PASS/FAIL`` line (visible with ``pytest -s`` or in captured
-output).  A8 archives its node-by-node deviation report under
+output).  A8 writes its node-by-node deviation report under pytest's
+``tmp_path`` and checks it against the committed reference report in
 ``tests/_artifacts/``.
 """
 
@@ -43,7 +44,14 @@ from shehu.specfun import (
     wright_series,
 )
 
-ARTIFACTS = os.path.join(os.path.dirname(__file__), "_artifacts")
+A8_REFERENCE = os.path.join(
+    os.path.dirname(__file__), "_artifacts", "a8_deviation_report.csv"
+)
+# Reconstructed values differ between platforms by rounding in the contour
+# sums, which reach 1.7e8 on this grid: two hosts' copies of the report
+# differ by at most 7e-7 absolute, which is 1.8e-8 relative at a node whose
+# value is 0.1 (median 3e-13).
+A8_REPORT_RTOL = 1e-7
 
 
 class _Gate:
@@ -197,9 +205,10 @@ def test_a7_transform_domain_solutions():
                     assert telegraph_residual(spec, F, pt) <= 1e-10
 
 
-def test_a8_reconstruction_vs_fd_oracle():
+def test_a8_reconstruction_vs_fd_oracle(tmp_path):
     """A8: reconstruction completes finite everywhere; the node-by-node
-    deviation report against the independent scheme is archived.
+    deviation report against the independent scheme matches the committed
+    reference report to A8_REPORT_RTOL.
 
     The source boundary data are inconsistent with the stated initial
     plane (a documented defect), so full agreement is a flag, not an
@@ -224,8 +233,7 @@ def test_a8_reconstruction_vs_fd_oracle():
         ix = [nearest(grid.xs, v) for v in xs]
         it = [nearest(grid.ts, v) for v in ts]
 
-        os.makedirs(ARTIFACTS, exist_ok=True)
-        report_path = os.path.join(ARTIFACTS, "a8_deviation_report.csv")
+        report_path = tmp_path / "a8_deviation_report.csv"
         max_abs = max_rel = 0.0
         with open(report_path, "w") as fh:
             fh.write("x,y,t,reconstructed,oracle,abs_dev,rel_dev\n")
@@ -242,7 +250,11 @@ def test_a8_reconstruction_vs_fd_oracle():
                             f"{x:.17g},{y:.17g},{t:.17g},{rec:.17g},"
                             f"{orc:.17g},{adev:.17g},{rdev:.17g}\n"
                         )
-        assert os.path.exists(report_path)
+        got = np.loadtxt(report_path, delimiter=",", skiprows=1)
+        ref = np.loadtxt(A8_REFERENCE, delimiter=",", skiprows=1)
+        assert_allclose(got[:, :3], ref[:, :3], rtol=0.0, atol=0.0)
+        # reconstructed and oracle columns
+        assert_allclose(got[:, 3:5], ref[:, 3:5], rtol=A8_REPORT_RTOL, atol=0.0)
         agreement = "full-agreement" if max_rel <= 0.05 else "documented-deviation"
         print(f"A8 report: max_abs={max_abs:.3e} max_rel={max_rel:.3e} "
               f"[{agreement}] -> {report_path}")

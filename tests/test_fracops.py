@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shehu.errors import DomainError, MissingDerivative
+from shehu.errors import DomainError, MissingDerivative, QuadratureError
 from shehu.fracops import (
     AXES,
     FracOrder,
@@ -23,6 +23,7 @@ from shehu.funclib import (
     ml_kernel_field,
     power_field,
 )
+from shehu.specfun import MLParams, mittag_leffler
 
 
 def poly_t(coeffs):
@@ -121,7 +122,44 @@ class TestRLIntegral:
         """I^g t^m = Gamma(m+1)/Gamma(m+1+g) t^(m+g) (independent oracle)."""
         p = 1.7
         got = rl_integral(axis_power("t", float(m)), "t", g, (0.0, 0.0, p))
-        assert_allclose(got, power_rule_integral(float(m), g, p), rtol=1e-8)
+        assert_allclose(got, power_rule_integral(float(m), g, p), rtol=1e-12)
+
+    @pytest.mark.parametrize("g", [0.3, 0.5, 1.5])
+    @pytest.mark.parametrize("lam, p", [(-1.0, 0.3), (-1.0, 60.0), (1.0, 5.0)])
+    def test_exponential_against_mittag_leffler(self, g, lam, p):
+        """I^g[e^(lam u)](p) = p^g E_{1,1+g}(lam p): decay over a long range, growth."""
+        got = rl_integral(axis_exp("t", lam), "t", g, (0.0, 0.0, p))
+        expect = p ** g * mittag_leffler(MLParams(1.0, 1.0 + g), lam * p)
+        assert_allclose(got, expect, rtol=1e-11)
+
+    @pytest.mark.parametrize("g", [0.3, 0.5, 1.5])
+    @pytest.mark.parametrize("p", [2.0, 20.0])
+    def test_sine_against_mittag_leffler(self, g, p):
+        """I^g[sin(pi u)](p) = Im p^g E_{1,1+g}(i pi p): ten periods at p = 20."""
+        got = rl_integral(axis_sin("t", math.pi), "t", g, (0.0, 0.0, p))
+        z = complex(0.0, math.pi * p)
+        expect = (p ** g * mittag_leffler(MLParams(1.0, 1.0 + g), z)).imag
+        assert_allclose(got, expect, rtol=1e-11)
+
+    @pytest.mark.parametrize("g", [0.15, 0.5, 0.85])
+    @pytest.mark.parametrize("form", ["atom", "callable"])
+    def test_singular_at_both_ends(self, g, form):
+        """I^(1-g)[g u^(g-1)] = Gamma(g+1): f singular at u = 0, kernel at u = p."""
+        f = axis_power("t", g - 1.0) * g
+        if form == "callable":
+            f = f.fn
+        got = rl_integral(f, "t", 1.0 - g, (0.0, 0.0, 1.3))
+        assert_allclose(got, math.gamma(g + 1.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_integrand_is_refused(self, value):
+        with pytest.raises(QuadratureError):
+            rl_integral(lambda x, y, t: value, "t", 0.5, (0.0, 0.0, 1.0))
+
+    def test_unresolved_oscillation_is_refused(self):
+        """sin(1e4 u) on [0, 50] needs a finer step than the rule's last level."""
+        with pytest.raises(QuadratureError):
+            rl_integral(axis_sin("t", 1e4), "t", 0.5, (0.0, 0.0, 50.0))
 
     def test_semigroup_on_polynomials(self):
         """I^g I^d f = I^(g+d) f on polynomials, seeded orders in (0, 1)."""
@@ -150,6 +188,14 @@ class TestRLIntegral:
         lhs = rl_integral(inner, "t", g, (x, 0.0, t))
         rhs = power_rule_integral(2.0, b, x) * power_rule_integral(2.0, g, t)
         assert_allclose(lhs, rhs, rtol=1e-6)
+
+
+@pytest.mark.parametrize("op", [rl_integral, caputo_derivative])
+@pytest.mark.parametrize("g", [0.5, 1.5])
+@pytest.mark.parametrize("p", [-1.0, math.inf, math.nan])
+def test_coordinate_outside_domain_is_refused(op, g, p):
+    with pytest.raises(DomainError):
+        op(axis_power("t", 2.0), "t", g, (0.0, 0.0, p))
 
 
 class TestCaputo:
