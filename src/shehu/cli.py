@@ -42,7 +42,6 @@ _CONFIG_KEYS = {
     "rel_tol": float,
     "abs_tol": float,
     "tail_cut_tol": float,
-    "max_subdivisions": int,
     "method": str,
     "nodes": int,
     "contour_scale": float,
@@ -91,7 +90,6 @@ def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(
         rel_tol=_merged(args, "rel_tol", 1e-10),
         abs_tol=_merged(args, "abs_tol", 1e-14),
-        max_subdivisions=int(_merged(args, "max_subdivisions", 200)),
         tail_cut_tol=_merged(args, "tail_cut_tol", 1e-14),
     )
 

@@ -14,10 +14,11 @@ face (one axis at zero), edge (two axes at zero), and corner (all three)
 boundary groups with alternating signs.
 
 ``verify_suite`` replaces proofs with numbers: each rule instance is
-evaluated on both sides with independent machinery (adaptive module
-quadrature on one side, fixed Gauss-Laguerre/Legendre rules for the
-heavier instances, and fractional operators by fracops' tanh-sinh rule
-on their defining integrals) and reported row by row.
+evaluated on both sides with independent machinery (forward's tensor
+tanh-sinh rule, QUADPACK over per-axis atom products on the separable
+path, fixed Gauss-Laguerre/Legendre rules for the convolution law, and
+fractional operators by fracops' tanh-sinh rule on their defining
+integrals) and reported row by row.
 """
 
 from __future__ import annotations
@@ -232,12 +233,6 @@ def _legendre_axis(n: int, length: float):
     return 0.5 * length * (xi + 1.0), 0.5 * length * wi
 
 
-def _vectorized(f: ExpOrderFn) -> Callable:
-    if f.vec is not None:
-        return f.vec
-    return np.vectorize(f.fn)
-
-
 def convolve_3d(
     f: ExpOrderFn,
     g: ExpOrderFn,
@@ -258,7 +253,6 @@ def convolve_3d(
         raise ValueError("convolution point must be componentwise nonnegative")
     if min(x, y, t) == 0.0:
         return 0.0
-    fv, gv = _vectorized(f), _vectorized(g)
 
     def tensor(n: int) -> float:
         n_eff = [max(8, min(48, n + int(0.8 * l))) for l in (x, y, t)]
@@ -268,7 +262,7 @@ def convolve_3d(
             _legendre_axis(n_eff[2], t),
         )
         Z1, Z2, Z3 = np.meshgrid(z1, z2, z3, indexing="ij", sparse=True)
-        vals = fv(x - Z1, y - Z2, t - Z3) * gv(Z1, Z2, Z3)
+        vals = f.array(x - Z1, y - Z2, t - Z3) * g.array(Z1, Z2, Z3)
         return float(np.einsum("i,j,k,ijk->", w1, w2, w3, vals))
 
     v_prev = tensor(12)
@@ -497,7 +491,7 @@ def _fractional_image_rates(fld: FieldFn, axis: str) -> tuple[float, float, floa
 def _suite_operational_integrals(report: VerificationReport, rng) -> None:
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, tail_cut_tol=1e-12)
 
-    # Single-axis rule through the adaptive module path (2-var instances,
+    # Single-axis rule through forward's tensor rule (2-var instances,
     # x and t frozen): transform of rl_integral vs scaled transform.
     for fname, x0 in (("exp-y", 0.4), ("sine-product", 0.3), ("xyt", 0.7)):
         fld = get_field(fname)
@@ -511,14 +505,15 @@ def _suite_operational_integrals(report: VerificationReport, rng) -> None:
                 return rl_integral(_f.smooth, "y", _g, (x, y, t))
 
             lhs = shehu_1d(
-                ExpOrderFn(integ, fld.bound * 8.0, rates), "y", vars, cfg, frozen
+                ExpOrderFn(integ, fld.bound * 8.0, rates, vec=integ),
+                "y", vars, cfg, frozen,
             )
             rhs = integral_rule(
                 shehu_1d(fld.exp_order(), "y", vars, cfg, frozen), vars, {"y": gval}
             )
             report.add(f"int-1d/{fname}/g{gval}", lhs, rhs)
 
-    # Double-transform rules, adaptive module path on the decaying field.
+    # Double-transform rules through forward's tensor rule on the decaying field.
     fld = get_field("exp-xyt")
     for tag, ax_orders in (("int-2d/y", {"y": 0.3}), ("int-2d/x", {"x": 0.5})):
         axis, gval = next(iter(ax_orders.items()))
@@ -530,7 +525,8 @@ def _suite_operational_integrals(report: VerificationReport, rng) -> None:
             return rl_integral(fld.smooth, _ax, _g, (x, y, t))
 
         lhs = shehu_2d(
-            ExpOrderFn(integ, fld.bound * 8.0, rates), ("x", "y"), vars, cfg, frozen
+            ExpOrderFn(integ, fld.bound * 8.0, rates, vec=integ),
+            ("x", "y"), vars, cfg, frozen,
         )
         rhs = integral_rule(
             shehu_2d(fld.exp_order(), ("x", "y"), vars, cfg, frozen), vars, ax_orders
@@ -576,7 +572,7 @@ def _suite_operational_integrals(report: VerificationReport, rng) -> None:
 def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, tail_cut_tol=1e-12)
 
-    # Single transform over y of a Caputo derivative in y, adaptive path.
+    # Single transform over y of a Caputo derivative in y, forward's tensor rule.
     for fname, gval in (
         ("exp-y", 0.5),
         ("exp-y", 1.5),
@@ -592,7 +588,8 @@ def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
             return caputo_derivative(_f.smooth, "y", _g, (x, y, t))
 
         lhs = shehu_1d(
-            ExpOrderFn(deriv, fld.bound * 8.0, rates), "y", vars, cfg, frozen
+            ExpOrderFn(deriv, fld.bound * 8.0, rates, vec=deriv),
+            "y", vars, cfg, frozen,
         )
         order = FracOrder(gval)
         bnd = BoundaryTransforms()
@@ -605,7 +602,7 @@ def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
         )
         report.add(f"cap-1d/{fname}/g{gval}", lhs, rhs)
 
-    # Double transform over (x, y), one Caputo axis, adaptive path.
+    # Double transform over (x, y), one Caputo axis, forward's tensor rule.
     for fname, axis, gval, tag in (
         ("exp-xyt", "y", 0.5, "cap-2d"),
         ("sine-product", "y", 1.5, "cap-2d"),
@@ -621,7 +618,8 @@ def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
             return caputo_derivative(_f.smooth, _ax, _g, (x, y, t))
 
         lhs = shehu_2d(
-            ExpOrderFn(deriv, fld.bound * 8.0, rates), ("x", "y"), vars, cfg, frozen
+            ExpOrderFn(deriv, fld.bound * 8.0, rates, vec=deriv),
+            ("x", "y"), vars, cfg, frozen,
         )
         order = FracOrder(gval)
         bnd = BoundaryTransforms()
@@ -640,7 +638,7 @@ def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
         report.add(f"{tag}/{fname}/{axis}/g{gval}", lhs, rhs)
 
     # Triple-transform single-axis Caputo rules on the separable path;
-    # boundary transforms by adaptive module quadrature.
+    # boundary transforms by forward's tensor rule.
     sep_cases = [
         ("cap-3d", "t", "t", 0.5),
         ("cap-3d", "t-squared", "t", 1.5),

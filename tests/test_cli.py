@@ -165,6 +165,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(cfg))
 
+    def test_max_subdivisions_is_unknown(self, tmp_path):
+        """The forward rule has no subdivision budget to configure."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_subdivisions = 200\n")
+        with pytest.raises(ConfigError):
+            load_config(str(cfg))
+
     def test_bad_value_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nodes = many\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shehu.errors import DivergenceError, DomainError
+from shehu.errors import DivergenceError, DomainError, QuadratureError
 from shehu.forward import (
     ExpOrderFn,
     QuadratureConfig,
@@ -14,7 +14,7 @@ from shehu.forward import (
     shehu_2d,
     shehu_3d,
 )
-from shehu.funclib import get_field, ml_kernel_field, power_field
+from shehu.funclib import catalog, get_field, ml_kernel_field, power_field
 
 UNIT = RatioPoint.from_ratios(1.0, 1.0, 1.0)
 PI = math.pi
@@ -44,8 +44,6 @@ class TestQuadratureConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
 
 
 class TestCertificate:
@@ -136,6 +134,62 @@ class TestMultiAxis:
             for order in itertools.permutations(("x", "y", "t"))
         ]
         assert max(vals) - min(vals) <= 1e-9 * max(abs(v) for v in vals)
+
+
+def _looped(f: ExpOrderFn) -> ExpOrderFn:
+    """The same field without its array evaluator."""
+    return ExpOrderFn(fn=f.fn, bound=f.bound, rates=f.rates)
+
+
+class TestTensorRule:
+    @pytest.mark.parametrize(
+        "fld, ref",
+        [
+            (power_field(-0.5), analytic_transform("power", 1.3, nu=-0.5)),
+            (power_field(-0.9), analytic_transform("power", 1.3, nu=-0.9)),
+            (ml_kernel_field(0.5, 0.5, -1.0, axis="t"),
+             analytic_transform("ml_kernel", 1.3, gamma=0.5, beta=0.5, c=-1.0)),
+        ],
+        ids=["power-0.5", "power-0.9", "ml-kernel-0.5-0.5"],
+    )
+    def test_singular_at_origin(self, fld, ref):
+        got = shehu_1d(fld.exp_order(), "t", RatioPoint(t=(1.3, 1.0)))
+        assert_allclose(got, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_array_evaluator_matches_scalar_loop(self, name):
+        """1-D and 2-D transforms agree with and without ``vec``; in 3-D the
+        evaluators agree on a grid of the rule's nodes."""
+        f = get_field(name).exp_order()
+        vars = RatioPoint.from_ratios(1.9, 2.3, 2.7)
+        got = shehu_1d(f, "t", vars, frozen={"x": 0.4, "y": 0.7})
+        assert_allclose(got, shehu_1d(_looped(f), "t", vars, frozen={"x": 0.4, "y": 0.7}),
+                        rtol=1e-13, atol=0.0)
+        got = shehu_2d(f, ("x", "y"), vars, frozen={"t": 0.6})
+        assert_allclose(got, shehu_2d(_looped(f), ("x", "y"), vars, frozen={"t": 0.6}),
+                        rtol=1e-13, atol=0.0)
+        u = np.linspace(0.0, 6.0, 13)
+        grid = (u[:, None, None], u[None, :, None], u[None, None, :])
+        assert_allclose(f.array(*grid), _looped(f).array(*grid), rtol=1e-13, atol=1e-300)
+
+    def test_unresolved_oscillation_is_refused(self):
+        """sin(1e4 u) over a box of length 32 needs a finer step than level 7."""
+        f = ExpOrderFn(fn=lambda x, y, t: math.sin(1e4 * t), bound=1.0,
+                       vec=lambda x, y, t: np.sin(1e4 * t))
+        with pytest.raises(QuadratureError):
+            shehu_1d(f, "t", UNIT)
+
+    def test_evaluation_blocks_are_capped(self):
+        sizes = []
+        base = get_field("exp-xyt").exp_order()
+
+        def spy(x, y, t):
+            sizes.append(np.broadcast(x, y, t).size)
+            return base.vec(x, y, t)
+
+        f = ExpOrderFn(fn=base.fn, bound=base.bound, rates=base.rates, vec=spy)
+        assert_allclose(shehu_3d(f, UNIT), 0.125, rtol=1e-12)
+        assert len(sizes) > 1 and max(sizes) <= 2 ** 16
 
 
 class TestAnalyticTransform:

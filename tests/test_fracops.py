@@ -198,6 +198,58 @@ def test_coordinate_outside_domain_is_refused(op, g, p):
         op(axis_power("t", 2.0), "t", g, (0.0, 0.0, p))
 
 
+_GRID_X = np.array([0.0, 0.3, 1.7])[:, None]
+_GRID_Y = np.array([0.0, 0.5, 2.0, 3.1])[None, :]
+
+
+@pytest.mark.parametrize(
+    "op, fname, axis, g, form",
+    [
+        (rl_integral, "exp-xyt", "x", 0.5, "atom"),
+        (rl_integral, "sine-product", "y", 1.5, "atom"),
+        (rl_integral, "xyt", "x", 0.3, "callable"),
+        (caputo_derivative, "exp-xyt", "y", 0.5, "atom"),
+        (caputo_derivative, "sine-product", "x", 1.2, "atom"),
+        (caputo_derivative, "xyt", "y", 1.0, "atom"),
+    ],
+)
+def test_coordinate_arrays_match_scalar_calls(op, fname, axis, g, form):
+    """A 2-D broadcast of points, zeros on the axis included, equals scalar calls."""
+    f = get_field(fname).smooth
+    if form == "callable":
+        f = f.fn
+    got = op(f, axis, g, (_GRID_X, _GRID_Y, 0.8))
+    assert got.shape == (3, 4)
+    expect = [[op(f, axis, g, (x, y, 0.8)) for y in _GRID_Y.ravel().tolist()]
+              for x in _GRID_X.ravel().tolist()]
+    assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+def test_each_point_converges_on_its_own_scale():
+    """A point whose sum is 1e14 times smaller is not settled by the larger one's."""
+    f = axis_exp("t", 2.0) * axis_sin("t", 30.0)
+    ps = np.array([3.0, 20.0])
+    got = rl_integral(f, "t", 0.5, (0.0, 0.0, ps))
+    expect = [rl_integral(f, "t", 0.5, (0.0, 0.0, p)) for p in ps.tolist()]
+    assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+def test_rl_derivative_arrays_match_scalar_calls():
+    """Equal up to rounding, which the second difference amplifies by 1/h^2."""
+    f = get_field("sine-product").smooth
+    ps = np.array([0.05, 0.7, 2.4])
+    got = rl_derivative(f, "y", 1.5, (0.3, ps, 0.0))
+    expect = [rl_derivative(f, "y", 1.5, (0.3, p, 0.0)) for p in ps.tolist()]
+    assert_allclose(got, expect, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("op", [rl_integral, caputo_derivative])
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_any_bad_array_coordinate_is_refused(op, bad):
+    with pytest.raises(DomainError):
+        op(axis_power("x", 2.0), "x", 0.5, (np.array([[0.5, 0.0], [bad, 1.0]]), 0.3, 0.2))
+
+
 class TestCaputo:
     def test_linear_half_derivative(self):
         got = caputo_derivative(axis_power("t", 1.0), "t", 0.5, (0.0, 0.0, 1.0))
