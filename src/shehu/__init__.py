@@ -17,7 +17,6 @@ from .errors import (
     QuadratureError,
     ShehuError,
     SingularDenominator,
-    SolveError,
     StabilityError,
     UnknownSuite,
 )

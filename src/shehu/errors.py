@@ -49,10 +49,6 @@ class SingularDenominator(ShehuError):
     """Transform-domain expression evaluated on (or too near) a singular locus."""
 
 
-class SolveError(ShehuError):
-    """A per-step linear system failed to converge."""
-
-
 class StabilityError(ShehuError):
     """Explicit scheme grid violates its stability bound."""
 

@@ -9,6 +9,10 @@ These schemes exist solely to validate transform-domain reconstructions:
 
   * telegraph at time order 1: explicit second-order-in-time scheme for
     f_tt + 2 a f_t + b^2 f = laplacian(f), stable for dt <= dx / sqrt(2).
+
+Both are solved exactly, mode by mode, in the discrete sine basis that
+diagonalizes the Dirichlet 5-point Laplacian; no code is shared with the
+transform path.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import identity, kron, diags
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import cg  # unused here; perfbench's tracer patches this binding
 
-from .errors import SolveError, StabilityError
+from .errors import StabilityError
 from .fpde import Grid3Field
 from .fracops import FracOrder
 
@@ -38,10 +41,13 @@ class FDGrid:
     dt: float
 
     def __post_init__(self) -> None:
-        if min(self.nx, self.ny, self.nt) < 2:
+        counts = (self.nx, self.ny, self.nt)
+        if not all(isinstance(n, (int, np.integer)) for n in counts):
+            raise ValueError(f"node counts must be integers, got {counts}")
+        if min(counts) < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def dx(self) -> float:
@@ -67,23 +73,21 @@ class FDGrid:
         return self.dt <= min(self.dx, self.dy) / math.sqrt(2.0) + 1e-15
 
 
-def _laplacian(grid: FDGrid):
-    """Sparse 5-point Laplacian on interior nodes, Dirichlet boundary."""
+def _sine_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sine basis S of an axis with n interior nodes, and its eigenvalues.
 
-    def second_diff(n: int, h: float):
-        main = -2.0 * np.ones(n)
-        off = np.ones(n - 1)
-        return diags([off, main, off], (-1, 0, 1)) / (h * h)
-
-    ax = second_diff(grid.nx, grid.dx)
-    ay = second_diff(grid.ny, grid.dy)
-    ix = identity(grid.nx)
-    iy = identity(grid.ny)
-    return (kron(ax, iy) + kron(ix, ay)).tocsr()
+    S_jk = sqrt(2/(n+1)) sin(pi j k/(n+1)) satisfies S @ S = I, and
+    S diag(lam) S is the Dirichlet second difference with h = 1/(n+1):
+    lam_k = -4/h^2 sin^2(pi k/(2(n+1))).
+    """
+    k = np.arange(1, n + 1)
+    basis = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    lam = -4.0 * (n + 1) ** 2 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+    return basis, lam
 
 
-def _ic_values(ic: Callable[[float, float], float], grid: FDGrid) -> np.ndarray:
-    return np.array([ic(x, y) for x in grid.xs for y in grid.ys])
+def _nodal(fn: Callable[[float, float], float], grid: FDGrid) -> np.ndarray:
+    return np.array([[fn(x, y) for y in grid.ys] for x in grid.xs], dtype=float)
 
 
 def l1_heat_solve(
@@ -95,39 +99,35 @@ def l1_heat_solve(
 
     Weights b_j = (j+1)^(1-g) - j^(1-g); each step solves
     (I - c*A) u^k = sum_{j=1}^{k-1} (b_{j-1} - b_j) u^{k-j} + b_{k-1} u^0
-    with c = Gamma(2-g) dt^g / pi^2 and A the 5-point Laplacian, by
-    conjugate gradients to 1e-10 residual.
+    with c = Gamma(2-g) dt^g / pi^2 and A the 5-point Laplacian.  The
+    system is diagonal in the sine basis, so each step divides the modal
+    right-hand side by 1 - c*(lam_x + lam_y), exactly up to rounding.
 
     Raises:
-        SolveError: when a per-step linear solve fails to converge.
+        ValueError: for an order outside (0, 1].
     """
     order = gamma if isinstance(gamma, FracOrder) else FracOrder(float(gamma))
     g = order.value
     if not (0.0 < g <= 1.0):
         raise ValueError(f"heat oracle needs order in (0, 1], got {g}")
 
-    lap = _laplacian(grid)
-    n = grid.nx * grid.ny
+    sx, lx = _sine_modes(grid.nx)
+    sy, ly = _sine_modes(grid.ny)
     c = math.gamma(2.0 - g) * grid.dt ** g / (math.pi ** 2)
-    system = (identity(n) - c * lap).tocsr()
+    denom = 1.0 - c * (lx[:, None] + ly[None, :])
 
     # b_0 = 1 exactly (0^(1-g) -> 0 including the g = 1 limit)
-    b = np.array(
-        [1.0]
-        + [(j + 1) ** (1.0 - g) - j ** (1.0 - g) for j in range(1, grid.nt + 1)]
-    )
-    u0 = _ic_values(ic, grid)
-    history = [u0]
+    j = np.arange(1.0, grid.nt + 1)
+    b = np.concatenate(([1.0], (j + 1.0) ** (1.0 - g) - j ** (1.0 - g)))
+    d = b[:-1] - b[1:]  # d[i] weighs u^{k-1-i}
+    # modal history u^0 .. u^nt; each step contracts it with d reversed
+    hist = np.empty((grid.nt + 1, grid.nx, grid.ny))
+    hist[0] = sx @ _nodal(ic, grid) @ sy
     out = np.empty((grid.nx, grid.ny, grid.nt))
     for k in range(1, grid.nt + 1):
-        rhs = b[k - 1] * u0
-        for j in range(1, k):
-            rhs += (b[j - 1] - b[j]) * history[k - j]
-        sol, info = cg(system, rhs, x0=history[-1], rtol=1e-12, atol=1e-12)
-        if info != 0:
-            raise SolveError(f"heat solve CG failed at step {k} (info={info})")
-        history.append(sol)
-        out[:, :, k - 1] = sol.reshape(grid.nx, grid.ny)
+        rhs = b[k - 1] * hist[0] + np.tensordot(d[:k - 1][::-1], hist[1:k], axes=1)
+        hist[k] = rhs / denom
+        out[:, :, k - 1] = sx @ hist[k] @ sy
     return Grid3Field(grid.xs, grid.ys, grid.ts, out)
 
 
@@ -143,7 +143,8 @@ def classical_telegraph_solve(
     Central second differences in time and space: the update solves
     (1/dt^2 + a/dt) u^{k+1} = (2/dt^2 - b^2) u^k + A u^k
                               - (1/dt^2 - a/dt) u^{k-1};
-    the first step uses a Taylor start with the initial velocity.
+    the first step uses a Taylor start with the initial velocity.  The
+    recurrence runs per sine mode, with A replaced by its eigenvalue.
 
     Raises:
         StabilityError: when dt exceeds the CFL bound dx/sqrt(2).
@@ -155,24 +156,26 @@ def classical_telegraph_solve(
             f"dt={grid.dt} violates the bound min(dx,dy)/sqrt(2)="
             f"{min(grid.dx, grid.dy) / math.sqrt(2.0):.6g}"
         )
-    lap = _laplacian(grid)
+    sx, lx = _sine_modes(grid.nx)
+    sy, ly = _sine_modes(grid.ny)
+    lam = lx[:, None] + ly[None, :]
     dt = grid.dt
-    u_prev = _ic_values(ic, grid)
-    v0 = np.array([ic_velocity(x, y) for x in grid.xs for y in grid.ys])
+    u_prev = sx @ _nodal(ic, grid) @ sy
+    v0 = sx @ _nodal(ic_velocity, grid) @ sy
     u_curr = (
         u_prev
         + dt * v0
-        + 0.5 * dt * dt * (lap @ u_prev - 2.0 * alpha * v0 - beta * beta * u_prev)
+        + 0.5 * dt * dt * (lam * u_prev - 2.0 * alpha * v0 - beta * beta * u_prev)
     )
     out = np.empty((grid.nx, grid.ny, grid.nt))
-    out[:, :, 0] = u_curr.reshape(grid.nx, grid.ny)
+    out[:, :, 0] = sx @ u_curr @ sy
     lhs_coef = 1.0 / dt ** 2 + alpha / dt
     for k in range(2, grid.nt + 1):
         rhs = (
             (2.0 / dt ** 2 - beta * beta) * u_curr
-            + lap @ u_curr
+            + lam * u_curr
             - (1.0 / dt ** 2 - alpha / dt) * u_prev
         )
         u_prev, u_curr = u_curr, rhs / lhs_coef
-        out[:, :, k - 1] = u_curr.reshape(grid.nx, grid.ny)
+        out[:, :, k - 1] = sx @ u_curr @ sy
     return Grid3Field(grid.xs, grid.ys, grid.ts, out)

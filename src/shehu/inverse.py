@@ -15,9 +15,10 @@ floor instead of trading accuracy for contour growth.
 A real-node weighted-sum fallback (exponential-sampling weights) serves
 callables that can only be evaluated at real ratios.
 
-Triple inversion nests the per-axis rule; inner stages keep the full
-complex contour sum because their integrands are evaluated at complex
-outer nodes, where conjugate symmetry is unavailable.
+Triple inversion takes the tensor product of the per-axis rules: ``F``
+is evaluated once on the broadcast node grid, which it must support, and
+the real part of the full complex tensor sum is returned, so the original
+is assumed real-valued, as in the single-axis case.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContourError, CostBudgetError
+from .errors import ContourError, CostBudgetError, DomainError
 
 __all__ = [
     "InversionConfig",
@@ -184,16 +185,20 @@ def invert_3d(
     point: tuple[float, float, float],
     cfg: InversionConfig = DEFAULT_INVERSION,
 ) -> float:
-    """Nested per-axis inversion of a triple transform at (x, y, t) > 0.
+    """Tensor-product inversion of a triple transform at (x, y, t) > 0.
 
     Cost is (2*nodes)^3 evaluations of ``F`` per point with the default
     contour method; a budget guard fails fast instead of hanging.  ``F``
-    is first attempted as a numpy-broadcastable callable and falls back
-    to scalar loops.
+    must broadcast: it is called once with node arrays of shapes (n, 1, 1),
+    (1, n, 1) and (1, 1, n) and must return the (n, n, n) grid of values;
+    wrap a scalar-only callable (for example with ``np.frompyfunc``) to
+    evaluate it node by node.  The original is assumed real-valued: the
+    imaginary part of the contour sum is discarded, as in ``invert_1d``.
 
     Raises:
         CostBudgetError: when the node budget is exceeded.
         ContourError: on non-finite evaluations.
+        DomainError: when ``F`` returns values of another shape.
     """
     x, y, t = point
     if min(x, y, t) <= 0.0:
@@ -238,19 +243,14 @@ def invert_3d(
 
 
 def _eval_grid(F, ps, qs, ss) -> np.ndarray:
-    """Evaluate F on the product grid, vectorized when F broadcasts."""
-    try:
-        vals = np.asarray(
-            F(ps[:, None, None], qs[None, :, None], ss[None, None, :]),
-            dtype=complex,
+    """Evaluate F once on the broadcast product grid of its node arrays."""
+    vals = np.asarray(
+        F(ps[:, None, None], qs[None, :, None], ss[None, None, :]), dtype=complex
+    )
+    shape = (len(ps), len(qs), len(ss))
+    if vals.shape != shape:
+        raise DomainError(
+            f"transform returned shape {vals.shape} on the {shape} node grid; "
+            "it must broadcast over its arguments"
         )
-        if vals.shape == (len(ps), len(qs), len(ss)):
-            return vals
-    except Exception:
-        pass
-    out = np.empty((len(ps), len(qs), len(ss)), dtype=complex)
-    for i, p in enumerate(ps):
-        for j, q in enumerate(qs):
-            for k, s in enumerate(ss):
-                out[i, j, k] = F(p, q, s)
-    return out
+    return vals

@@ -29,6 +29,13 @@ class TestFDGrid:
             FDGrid(nx=1, ny=4, nt=8, dt=0.1)
         with pytest.raises(ValueError):
             FDGrid(nx=4, ny=4, nt=8, dt=0.0)
+        for dt in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="dt"):
+                FDGrid(nx=4, ny=4, nt=3, dt=dt)
+        for counts in ((4.5, 4, 3), (4, 4.0, 3), (4, 4, "3")):
+            with pytest.raises(ValueError, match="integers"):
+                FDGrid(*counts, dt=0.1)
+        assert FDGrid(np.int64(4), 4, 3, dt=0.1).nx == 4
 
 
 class TestHeatSolve:
@@ -122,3 +129,69 @@ class TestTelegraphSolve:
             gx, gy = np.gradient(vals[:, :, k], h, h)
             energies.append(0.5 * np.sum(ft ** 2 + gx ** 2 + gy ** 2) * h * h)
         assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
+
+
+def _dense_laplacian(grid):
+    """5-point Dirichlet Laplacian on the x-major flattened interior."""
+
+    def second_diff(n, h):
+        return (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+                + np.diag(np.ones(n - 1), -1)) / (h * h)
+
+    return (np.kron(second_diff(grid.nx, grid.dx), np.eye(grid.ny))
+            + np.kron(np.eye(grid.nx), second_diff(grid.ny, grid.dy)))
+
+
+def _dense_nodal(fn, grid):
+    return np.array([fn(x, y) for x in grid.xs for y in grid.ys])
+
+
+def lopsided(x, y):
+    """Non-separable, symmetric in neither axis nor under x <-> y."""
+    return x * (1.0 - x) * y * (1.0 - y) * (1.0 + 2.0 * x + 0.3 * y * y
+                                             + math.sin(3.0 * x * y))
+
+
+def swirl(x, y):
+    return math.sin(2.0 * math.pi * x) * y * (1.0 - y) * (1.0 + x)
+
+
+class TestAgainstDenseReference:
+    """Both schemes rebuilt with a dense Laplacian on a rectangular grid."""
+
+    GRID = FDGrid(nx=9, ny=14, nt=30, dt=0.02)
+
+    @pytest.mark.parametrize("g", [0.4, 1.0])
+    def test_heat_matches_direct_solves(self, g):
+        grid = self.GRID
+        c = math.gamma(2.0 - g) * grid.dt ** g / math.pi ** 2
+        system = np.eye(grid.nx * grid.ny) - c * _dense_laplacian(grid)
+        b = [1.0] + [(j + 1) ** (1.0 - g) - j ** (1.0 - g)
+                     for j in range(1, grid.nt + 1)]
+        history = [_dense_nodal(lopsided, grid)]
+        for k in range(1, grid.nt + 1):
+            rhs = b[k - 1] * history[0]
+            for j in range(1, k):
+                rhs = rhs + (b[j - 1] - b[j]) * history[k - j]
+            history.append(np.linalg.solve(system, rhs))
+        ref = np.stack(history[1:], axis=-1).reshape(grid.nx, grid.ny, grid.nt)
+        got = l1_heat_solve(g, lopsided, grid).values
+        assert_allclose(got, ref, rtol=1e-11)
+
+    def test_telegraph_matches_dense_stencil(self):
+        grid = self.GRID
+        alpha, beta, dt = 0.7, 1.3, grid.dt
+        lap = _dense_laplacian(grid)
+        u_prev = _dense_nodal(lopsided, grid)
+        v0 = _dense_nodal(swirl, grid)
+        u = u_prev + dt * v0 + 0.5 * dt * dt * (
+            lap @ u_prev - 2.0 * alpha * v0 - beta * beta * u_prev)
+        steps = [u]
+        for _ in range(grid.nt - 1):
+            nxt = ((2.0 / dt ** 2 - beta * beta) * u + lap @ u
+                   - (1.0 / dt ** 2 - alpha / dt) * u_prev) / (1.0 / dt ** 2 + alpha / dt)
+            u_prev, u = u, nxt
+            steps.append(u)
+        ref = np.stack(steps, axis=-1).reshape(grid.nx, grid.ny, grid.nt)
+        got = classical_telegraph_solve(alpha, beta, lopsided, swirl, grid).values
+        assert_allclose(got, ref, rtol=1e-11)

@@ -225,6 +225,27 @@ class TestReconstructAndGrid:
                 for k, t in enumerate(xs):
                     assert abs(fld.at(i, j, k) - math.exp(-(x + y + t))) <= 1e-6
 
+    def test_singular_node_becomes_nan_without_pointwise_retry(self):
+        """A SingularDenominator from the broadcast call marks the node NaN.
+
+        Talbot nodes for x reach real part 9/x, so only x = 0.5 touches the
+        fake singular locus Re p > 12; each node is evaluated exactly once.
+        """
+        calls = []
+
+        def evaluator(p, q, s):
+            calls.append(np.shape(p))
+            if np.max(np.real(p)) > 12.0:
+                raise SingularDenominator("evaluation on singular locus: test")
+            return 1.0 / (p * q * s)
+
+        fld = reconstruct(TransformSolution(evaluator, ("Re p > 12",)),
+                          (0.5, 1.0), (1.0,), (1.0,))
+        assert np.isnan(fld.at(0, 0, 0))
+        assert abs(fld.at(1, 0, 0) - 1.0) <= 1e-6
+        assert fld.nonfinite_count == 1
+        assert calls == [(64, 1, 1)] * 2
+
     def test_positive_grid_required(self):
         F = TransformSolution(lambda p, q, s: 1.0 / (p * q * s), ())
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shehu.errors import ContourError, CostBudgetError
+from shehu.errors import ContourError, CostBudgetError, DomainError
 from shehu.forward import RatioPoint, shehu_3d
 from shehu.funclib import get_field
 from shehu.inverse import (
@@ -109,6 +109,8 @@ class TestInvert3D:
         Forward quadrature only evaluates real ratios, which is the use
         case the real-node weighted-sum method exists for; the deformed
         contour needs complex nodes and gets the closed-form pair tests.
+        ``shehu_3d`` takes one ratio point per call, so the callable is
+        wrapped to evaluate node by node.
         """
         from shehu.forward import QuadratureConfig
 
@@ -120,18 +122,29 @@ class TestInvert3D:
                 f, RatioPoint(x=(p, 1.0), y=(q, 1.0), t=(s, 1.0)), cfg_fwd
             )
 
-        got = invert_3d(F, (0.5, 0.5, 0.5), InversionConfig(method="stehfest", nodes=8))
+        got = invert_3d(np.frompyfunc(F, 3, 1), (0.5, 0.5, 0.5),
+                        InversionConfig(method="stehfest", nodes=8))
         assert_allclose(got, math.exp(-1.5), rtol=1e-2)
 
-    def test_scalar_loop_fallback(self):
-        """Non-broadcastable callables fall back to scalar loops."""
+    def test_non_broadcasting_callable_is_refused(self):
+        """No scalar fallback: F is called once, on the node arrays."""
+        calls = []
 
         def F(p, q, s):
-            if hasattr(p, "shape") and np.shape(p) != ():
+            calls.append(np.shape(p))
+            if np.shape(p) != ():
                 raise TypeError("scalar only")
             return 1.0 / ((p + 1.0) * (q + 1.0) * (s + 1.0))
 
-        got = invert_3d(F, (1.0, 1.0, 1.0), InversionConfig(nodes=16))
+        cfg = InversionConfig(nodes=16)
+        with pytest.raises(TypeError, match="scalar only"):
+            invert_3d(F, (1.0, 1.0, 1.0), cfg)
+        assert calls == [(32, 1, 1)]
+        for G in (lambda p, q, s: 1.0 + 0.0 * p.sum(),
+                  lambda p, q, s: 1.0 / (p * q)):
+            with pytest.raises(DomainError, match="shape"):
+                invert_3d(G, (1.0, 1.0, 1.0), cfg)
+        got = invert_3d(np.frompyfunc(F, 3, 1), (1.0, 1.0, 1.0), cfg)
         assert_allclose(got, math.exp(-3.0), rtol=1e-6)
 
     def test_budget_guard(self):
