@@ -120,12 +120,16 @@ def l1_heat_solve(
     j = np.arange(1.0, grid.nt + 1)
     b = np.concatenate(([1.0], (j + 1.0) ** (1.0 - g) - j ** (1.0 - g)))
     d = b[:-1] - b[1:]  # d[i] weighs u^{k-1-i}
+    # only the prefix of d up to its last nonzero entry weighs anything: all
+    # of d at g < 1, d[:1] at g = 1, where only u^{k-1} enters
+    nd = int(np.flatnonzero(d)[-1]) + 1
     # modal history u^0 .. u^nt; each step contracts it with d reversed
     hist = np.empty((grid.nt + 1, grid.nx, grid.ny))
     hist[0] = sx @ _nodal(ic, grid) @ sy
     out = np.empty((grid.nx, grid.ny, grid.nt))
     for k in range(1, grid.nt + 1):
-        rhs = b[k - 1] * hist[0] + np.tensordot(d[:k - 1][::-1], hist[1:k], axes=1)
+        lo = max(1, k - nd)
+        rhs = b[k - 1] * hist[0] + np.tensordot(d[:k - lo][::-1], hist[lo:k], axes=1)
         hist[k] = rhs / denom
         out[:, :, k - 1] = sx @ hist[k] @ sy
     return Grid3Field(grid.xs, grid.ys, grid.ts, out)

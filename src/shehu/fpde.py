@@ -23,7 +23,7 @@ counts such terms instead of failing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
@@ -274,12 +274,17 @@ def telegraph_residual(
 
 @dataclass
 class Grid3Field:
-    """Values on a rectilinear (x, y, t) grid, row-major over (x, y, t)."""
+    """Values on a rectilinear (x, y, t) grid, row-major over (x, y, t).
+
+    ``nan_reasons`` maps the (ix, iy, it) index of each node that a
+    reconstruction left NaN to "ExceptionType: message" of the failure.
+    """
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     ts: tuple[float, ...]
     values: np.ndarray
+    nan_reasons: dict[tuple[int, int, int], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.xs = tuple(float(v) for v in self.xs)
@@ -327,20 +332,23 @@ def reconstruct(
 
     Grid nodes must be strictly positive on every axis.  Failures
     (contour breakdown or a singular-locus hit on the contour) are
-    counted via ``Grid3Field.nonfinite_count``; cost-budget violations
-    propagate immediately.
+    counted via ``Grid3Field.nonfinite_count`` and explained, node by
+    node, in ``Grid3Field.nan_reasons``; cost-budget violations propagate
+    immediately.
     """
     if min(min(xs), min(ys), min(ts)) <= 0.0:
         raise ValueError("reconstruction grid must be strictly positive")
     values = np.empty((len(xs), len(ys), len(ts)))
+    reasons = {}
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):
             for it, t in enumerate(ts):
                 try:
                     values[ix, iy, it] = invert_3d(F.evaluator, (x, y, t), cfg)
-                except (ContourError, SingularDenominator):
+                except (ContourError, SingularDenominator) as exc:
                     values[ix, iy, it] = math.nan
-    return Grid3Field(tuple(xs), tuple(ys), tuple(ts), values)
+                    reasons[ix, iy, it] = f"{type(exc).__name__}: {exc}"
+    return Grid3Field(tuple(xs), tuple(ys), tuple(ts), values, reasons)
 
 
 def binomial_series(order: float, t: float, max_terms: int = 800) -> float:

@@ -16,9 +16,10 @@ A real-node weighted-sum fallback (exponential-sampling weights) serves
 callables that can only be evaluated at real ratios.
 
 Triple inversion takes the tensor product of the per-axis rules: ``F``
-is evaluated once on the broadcast node grid, which it must support, and
-the real part of the full complex tensor sum is returned, so the original
-is assumed real-valued, as in the single-axis case.
+is evaluated on the broadcast node grid, which it must support, one slab
+of x-nodes at a time, and the real part of the full complex tensor sum is
+returned, so the original is assumed real-valued, as in the single-axis
+case.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContourError, CostBudgetError, DomainError
+from .fracops import _BLOCK
 
 __all__ = [
     "InversionConfig",
@@ -41,7 +43,8 @@ __all__ = [
 ]
 
 #: Contour radius times evaluation point (r0 = TALBOT_RT / u); fixed so that
-#: the rounding floor exp(TALBOT_RT)*eps stays near 1e-12 at any node count.
+#: the 1-D rounding floor exp(TALBOT_RT)*eps stays near 1e-12 at any node
+#: count.  A triple inversion cubes the exp(TALBOT_RT) factor (see invert_3d).
 TALBOT_RT = 9.0
 
 
@@ -78,11 +81,13 @@ class InversionConfig:
 DEFAULT_INVERSION = InversionConfig()
 
 
+@lru_cache(maxsize=64)
 def _talbot_nodes(point: float, m: int, scale: float):
     """Contour nodes s_k and weights w_k with f(u) = sum w_k exp(s_k u) F(s_k).
 
     Midpoint sampling of theta in (-pi, pi) avoids both endpoints, where
-    cot(theta) blows up; 2m nodes total.
+    cot(theta) blows up; 2m nodes total.  Cached and read-only: a grid
+    reuses each axis value's contour.
     """
     r0 = TALBOT_RT * scale / point
     nodes = []
@@ -100,7 +105,9 @@ def _talbot_nodes(point: float, m: int, scale: float):
         nodes.append(s)
         # trapezoid step pi/m over theta, divided by 2*pi*i
         weights.append(ds * (math.pi / m) / (2.0j * math.pi))
-    return np.asarray(nodes), np.asarray(weights)
+    nodes, weights = np.asarray(nodes), np.asarray(weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @lru_cache(maxsize=32)
@@ -189,11 +196,20 @@ def invert_3d(
 
     Cost is (2*nodes)^3 evaluations of ``F`` per point with the default
     contour method; a budget guard fails fast instead of hanging.  ``F``
-    must broadcast: it is called once with node arrays of shapes (n, 1, 1),
-    (1, n, 1) and (1, 1, n) and must return the (n, n, n) grid of values;
-    wrap a scalar-only callable (for example with ``np.frompyfunc``) to
-    evaluate it node by node.  The original is assumed real-valued: the
-    imaginary part of the contour sum is discarded, as in ``invert_1d``.
+    must broadcast: it is called once per slab of consecutive x-nodes, with
+    node arrays of shapes (k, 1, 1), (1, n, 1) and (1, 1, n), and must
+    return the (k, n, n) values; each node is evaluated once, and a slab
+    holds at most 2^16 values (at least one x-node).  Wrap a scalar-only callable (for example
+    with ``np.frompyfunc``) to evaluate it node by node.  The original is
+    assumed real-valued: the imaginary part of the contour sum is
+    discarded, as in ``invert_1d``.
+
+    The contour sum cancels far more than in 1-D: each axis factor
+    exp(s u) reaches exp(TALBOT_RT), so the largest term is up to
+    exp(3*TALBOT_RT) (about 5e11) times the original's scale, and the
+    rounding floor is about eps times that term, not the 1-D 1e-12.  The
+    sum is therefore taken in one fixed order; reordering it moves the
+    result at that floor.
 
     Raises:
         CostBudgetError: when the node budget is exceeded.
@@ -220,9 +236,7 @@ def invert_3d(
         wx = np.array(w) * ln2 / x
         wy = np.array(w) * ln2 / y
         wt = np.array(w) * ln2 / t
-        vals = _eval_grid(F, ps, qs, ss)
-        if not np.all(np.isfinite(vals)):
-            raise ContourError("non-finite transform value on real-node grid")
+        vals = _eval_grid(F, ps, qs, ss, "real-node grid")
         return float(np.einsum("i,j,k,ijk->", wx, wy, wt, np.real(vals)))
 
     m = cfg.nodes
@@ -236,21 +250,30 @@ def invert_3d(
     cx = wx * np.exp(px * x)
     cy = wy * np.exp(qy * y)
     ct = wt * np.exp(st * t)
-    vals = _eval_grid(F, px, qy, st)
-    if not np.all(np.isfinite(vals)):
-        raise ContourError("non-finite transform value on contour grid")
+    vals = _eval_grid(F, px, qy, st, "contour grid")
     return float(np.real(np.einsum("i,j,k,ijk->", cx, cy, ct, vals)))
 
 
-def _eval_grid(F, ps, qs, ss) -> np.ndarray:
-    """Evaluate F once on the broadcast product grid of its node arrays."""
-    vals = np.asarray(
-        F(ps[:, None, None], qs[None, :, None], ss[None, None, :]), dtype=complex
-    )
+def _eval_grid(F, ps, qs, ss, grid: str) -> np.ndarray:
+    """F on the product grid of its node arrays, one slab of x-nodes at a time.
+
+    A slab holds at most _BLOCK values (at least one x-node), so the
+    evaluator's temporaries stay cache-sized; an elementwise F gives the
+    same grid, bit for bit, as one broadcast call.
+    """
     shape = (len(ps), len(qs), len(ss))
-    if vals.shape != shape:
-        raise DomainError(
-            f"transform returned shape {vals.shape} on the {shape} node grid; "
-            "it must broadcast over its arguments"
-        )
+    vals = np.empty(shape, dtype=complex)
+    rows = max(1, _BLOCK // (shape[1] * shape[2]))
+    q, s = qs[None, :, None], ss[None, None, :]
+    for lo in range(0, shape[0], rows):
+        slab = np.asarray(F(ps[lo:lo + rows, None, None], q, s), dtype=complex)
+        want = (min(rows, shape[0] - lo),) + shape[1:]
+        if slab.shape != want:
+            raise DomainError(
+                f"transform returned shape {slab.shape} on the {want} node grid; "
+                "it must broadcast over its arguments"
+            )
+        if not np.all(np.isfinite(slab)):
+            raise ContourError(f"non-finite transform value on {grid}")
+        vals[lo:lo + rows] = slab
     return vals

@@ -19,6 +19,8 @@ from shehu.fpde import (
     telegraph_residual,
     telegraph_transform_solution,
 )
+from shehu.fracops import _BLOCK
+from shehu.inverse import _talbot_nodes
 
 PI = math.pi
 PI2 = PI * PI
@@ -226,15 +228,18 @@ class TestReconstructAndGrid:
                     assert abs(fld.at(i, j, k) - math.exp(-(x + y + t))) <= 1e-6
 
     def test_singular_node_becomes_nan_without_pointwise_retry(self):
-        """A SingularDenominator from the broadcast call marks the node NaN.
+        """A SingularDenominator from a slab call marks the node NaN.
 
         Talbot nodes for x reach real part 9/x, so only x = 0.5 touches the
-        fake singular locus Re p > 12; each node is evaluated exactly once.
+        fake singular locus Re p > 12.  F sees contiguous slabs of x-nodes
+        in contour order; no x-node is evaluated twice, the failing point
+        stops at its first singular slab, and x = 1.0 covers all 64 rows.
+        The node records why it is NaN.
         """
-        calls = []
+        slabs = []
 
         def evaluator(p, q, s):
-            calls.append(np.shape(p))
+            slabs.append(np.array(p[:, 0, 0]))
             if np.max(np.real(p)) > 12.0:
                 raise SingularDenominator("evaluation on singular locus: test")
             return 1.0 / (p * q * s)
@@ -244,7 +249,18 @@ class TestReconstructAndGrid:
         assert np.isnan(fld.at(0, 0, 0))
         assert abs(fld.at(1, 0, 0) - 1.0) <= 1e-6
         assert fld.nonfinite_count == 1
-        assert calls == [(64, 1, 1)] * 2
+        assert fld.nan_reasons == {
+            (0, 0, 0): "SingularDenominator: evaluation on singular locus: test"}
+
+        rows = _BLOCK // 64 ** 2
+        assert all(0 < len(p) <= rows for p in slabs)
+        half, one = _talbot_nodes(0.5, 32, 1.0)[0], _talbot_nodes(1.0, 32, 1.0)[0]
+        seen = np.concatenate(slabs)
+        k = len(seen) - 64  # x-nodes evaluated for x = 0.5 before it failed
+        assert 0 < k < 64
+        assert np.array_equal(seen, np.concatenate((half[:k], one)))
+        last_half = slabs[-1 - math.ceil(64 / rows)]
+        assert np.max(np.real(last_half)) > 12.0
 
     def test_positive_grid_required(self):
         F = TransformSolution(lambda p, q, s: 1.0 / (p * q * s), ())

@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shehu import inverse
 from shehu.errors import ContourError, CostBudgetError, DomainError
 from shehu.forward import RatioPoint, shehu_3d
+from shehu.fpde import (
+    HeatSpec,
+    TelegraphSpec,
+    heat_transform_solution,
+    telegraph_transform_solution,
+)
+from shehu.fracops import _BLOCK
 from shehu.funclib import get_field
 from shehu.inverse import (
     InversionConfig,
+    _eval_grid,
+    _talbot_nodes,
     invert_1d,
     invert_1d_complex,
     invert_3d,
@@ -127,7 +137,7 @@ class TestInvert3D:
         assert_allclose(got, math.exp(-1.5), rtol=1e-2)
 
     def test_non_broadcasting_callable_is_refused(self):
-        """No scalar fallback: F is called once, on the node arrays."""
+        """No scalar fallback: F is called on the first slab's node arrays."""
         calls = []
 
         def F(p, q, s):
@@ -139,13 +149,51 @@ class TestInvert3D:
         cfg = InversionConfig(nodes=16)
         with pytest.raises(TypeError, match="scalar only"):
             invert_3d(F, (1.0, 1.0, 1.0), cfg)
-        assert calls == [(32, 1, 1)]
+        assert calls == [(min(32, _BLOCK // 32 ** 2), 1, 1)]
         for G in (lambda p, q, s: 1.0 + 0.0 * p.sum(),
                   lambda p, q, s: 1.0 / (p * q)):
             with pytest.raises(DomainError, match="shape"):
                 invert_3d(G, (1.0, 1.0, 1.0), cfg)
         got = invert_3d(np.frompyfunc(F, 3, 1), (1.0, 1.0, 1.0), cfg)
         assert_allclose(got, math.exp(-3.0), rtol=1e-6)
+
+    @pytest.mark.parametrize("m", [24, 32])
+    @pytest.mark.parametrize("name", ["heat", "telegraph", "separable"])
+    def test_slabs_equal_one_full_grid_call(self, name, m, monkeypatch):
+        """Slab-by-slab evaluation is bit-identical to one (2m)^3 call.
+
+        At m = 24 the default slab of _BLOCK // 48^2 = 28 x-nodes does not
+        divide the 48 nodes; the 5-node slabs leave a remainder at both m.
+        """
+        F = {
+            "heat": heat_transform_solution(HeatSpec(gamma=0.7)).evaluator,
+            "telegraph": telegraph_transform_solution(
+                TelegraphSpec(gamma=0.9, alpha=0.5, beta=1.0)).evaluator,
+            "separable": lambda p, q, s: 1.0 / ((p + 0.5) * (q + 1.5) * (s + 1.0)),
+        }[name]
+        cfg = InversionConfig(nodes=m)
+        n = 2 * m
+        if m == 24:
+            assert n % (_BLOCK // n ** 2) != 0
+        points = [(0.75, 0.5, 1.0), (0.25, 1.0, 0.5)]
+        px, qy, st = (_talbot_nodes(u, m, 1.0)[0] for u in points[0])
+        full = F(px[:, None, None], qy[None, :, None], st[None, None, :])
+        assert np.all(np.isfinite(full))
+        assert np.array_equal(_eval_grid(F, px, qy, st, "contour grid"), full)
+        sliced = [invert_3d(F, pt, cfg) for pt in points]
+        monkeypatch.setattr(inverse, "_BLOCK", 5 * n * n)
+        assert np.array_equal(_eval_grid(F, px, qy, st, "contour grid"), full)
+        assert [invert_3d(F, pt, cfg) for pt in points] == sliced
+        monkeypatch.setattr(inverse, "_BLOCK", n ** 3)
+        assert [invert_3d(F, pt, cfg) for pt in points] == sliced
+
+    def test_talbot_nodes_are_cached_and_read_only(self):
+        nodes, weights = _talbot_nodes(0.7, 24, 1.0)
+        again = _talbot_nodes(0.7, 24, 1.0)
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_budget_guard(self):
         F = lambda p, q, s: 1.0 / (p * q * s)
