@@ -180,11 +180,11 @@ def _ts_rule(level: int, g: float):
 def _tanh_sinh(f, axis: str, g: float, coords):
     """(1/Gamma(g)) int_0^p (p-u)^(g-1) f(..u..) du at every point of ``coords``.
 
-    ``coords`` is a (3, N) array of points, giving an array, or one point
-    as a list of three floats, giving a float; p is each point's coordinate
-    on ``axis`` and the others stay fixed along the integral.  With u = p s
-    the integral is p^g/Gamma(g) int_0^1 (1-s)^(g-1) f(p s) ds, and the
-    rule sums h * pi cosh(t) s (1-s)^g f(p s) over the grid, so the kernel
+    ``coords`` is a (3, N) array of points and the result an array of N
+    values; p is each point's coordinate on ``axis`` and the others stay
+    fixed along the integral.  With u = p s the integral is p^g/Gamma(g)
+    int_0^1 (1-s)^(g-1) f(p s) ds, and the rule sums
+    h * pi cosh(t) s (1-s)^g f(p s) over the grid, so the kernel
     and an integrable singularity of f at u = 0 both decay double
     exponentially in t.  A SmoothFn is evaluated on a points x nodes block
     at once, a bare callable point by point; blocks hold at most _BLOCK
@@ -198,8 +198,6 @@ def _tanh_sinh(f, axis: str, g: float, coords):
     """
     i = AXES.index(axis)
     evaluate = f.array if isinstance(f, SmoothFn) else partial(_pointwise, f)
-    if isinstance(coords, list):
-        return _tanh_sinh_point(evaluate, i, g, coords)
     out = np.zeros(coords.shape[1])
     rows = np.flatnonzero(coords[i])  # a zero limit integrates to 0
     active = coords[:, rows, None]
@@ -236,72 +234,35 @@ def _tanh_sinh(f, axis: str, g: float, coords):
     )
 
 
-def _tanh_sinh_point(evaluate: Callable, i: int, g: float, point: list) -> float:
-    """``_tanh_sinh`` at one point given as floats, with float bookkeeping.
-
-    Callers that integrate point by point (QUADPACK's outer integrands,
-    forward's loop over a bare callable) make most calls; per level this
-    costs one evaluation and three products, where the block path's
-    bookkeeping adds a dozen array operations of fixed cost.
-    """
-    p = point[i]
-    if p == 0.0:
-        return 0.0
-    total = absum = 0.0
-    for level in range(_MAX_LEVEL + 1):
-        s, w = _ts_rule(level, g)
-        h = _H0 / 2 ** level
-        point[i] = p * s
-        vals = evaluate(*point)
-        if level == 0:
-            previous = 2.0 * h * float(vals[::2] @ w[::2])
-        total += float(vals @ w)
-        absum += float(np.abs(vals) @ w)
-        if not math.isfinite(absum):
-            raise QuadratureError(f"fractional integrand is not finite on [0, {p}]")
-        if abs(h * total - previous) <= _TARGET * h * absum:
-            return p ** g / math.gamma(g) * h * total
-        previous = h * total
-    raise QuadratureError(
-        f"fractional quadrature not converged on [0, {p}] at step h = {h}"
-    )
-
-
 def _pointwise(fn: Callable[[float, float, float], float], x, y, t) -> np.ndarray:
     """Values of a scalar callable on broadcast arrays, one float call per point."""
     return np.asarray(np.frompyfunc(fn, 3, 1)(x, y, t), dtype=float)
 
 
 def _points(point, axis: str):
-    """``point`` checked on ``axis``, and the broadcast shape of its coordinates.
+    """``point`` checked on ``axis``, as a (3, N) array, and its broadcast shape.
 
-    Scalar coordinates give one point as a list of three floats; arrays
-    give a (3, N) array of the broadcast points.
+    Scalar coordinates give one point: N = 1 and the shape ().
 
     Raises:
         DomainError: when any coordinate on ``axis`` is negative or not finite.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
-    i = AXES.index(axis)
     shape = np.broadcast(*point).shape
-    if shape:
-        coords = np.empty((3,) + shape)
-        coords[0], coords[1], coords[2] = point
-        coords = coords.reshape(3, -1)
-        p = coords[i]
-        bad = p[~((p >= 0.0) & (p < math.inf))]
-    else:
-        coords = [float(c) for c in point]
-        bad = [] if 0.0 <= coords[i] < math.inf else [coords[i]]
-    if len(bad):
+    coords = np.empty((3,) + shape)
+    coords[0], coords[1], coords[2] = point
+    coords = coords.reshape(3, -1)
+    p = coords[AXES.index(axis)]
+    bad = p[~((p >= 0.0) & (p < math.inf))]
+    if bad.size:
         raise DomainError(f"{axis} must be finite and nonnegative, got {bad[0]}")
     return coords, shape
 
 
 def _shaped(values, shape: tuple[int, ...]):
     """A float for a point given by scalars, else an array of the broadcast shape."""
-    return float(values) if shape == () else values.reshape(shape)
+    return float(values[0]) if shape == () else values.reshape(shape)
 
 
 def _partial_n(f, axis: str, n: int) -> SmoothFn:
@@ -397,7 +358,6 @@ def rl_derivative(
     order = _as_order(order)
     if order.is_integer:
         return _shaped(_partial_n(f, axis, int(round(order.value))).array(*coords), shape)
-    coords = np.asarray(coords).reshape(3, -1)
     p = coords[AXES.index(axis)]
     if not p.all():
         raise DomainError(
@@ -420,7 +380,7 @@ def rl_derivative(
         out = (rl[1] - rl[0]) / (2.0 * h)
     else:
         out = (rl[2] - 2.0 * rl[1] + rl[0]) / (h * h)
-    return _shaped(out.reshape(shape), shape)
+    return _shaped(out, shape)
 
 
 def power_rule_integral(exponent: float, order: float, p: float) -> float:

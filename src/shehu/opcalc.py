@@ -15,10 +15,10 @@ boundary groups with alternating signs.
 
 ``verify_suite`` replaces proofs with numbers: each rule instance is
 evaluated on both sides with independent machinery (forward's tensor
-tanh-sinh rule, QUADPACK over per-axis atom products on the separable
-path, fixed Gauss-Laguerre/Legendre rules for the convolution law, and
-fractional operators by fracops' tanh-sinh rule on their defining
-integrals) and reported row by row.
+tanh-sinh rule, adaptive Gauss-Legendre panels over per-axis atom
+products on the separable path, fixed Gauss-Laguerre/Legendre rules for
+the convolution law, and fractional operators by fracops' tanh-sinh rule
+on their defining integrals) and reported row by row.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # unused here; perfbench's tracer patches this binding
 from scipy.special import roots_laguerre, roots_legendre
 
 from .errors import MissingBoundary, QuadratureError, UnknownSuite
@@ -321,6 +321,55 @@ def _atoms_array(atoms, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _panel_transform(integrand, rate: float, rho: float, pad: float, epsrel: float) -> float:
+    """int_0^U exp(-rho u) integrand(u) du, U = pad / (rho - max(rate, 0)).
+
+    QUADPACK's QAG scheme on arrays: each panel's 15-point Gauss-Legendre
+    value is checked against its 7-point value; each sweep bisects every
+    panel whose error exceeds an equal share of the budget and passes all
+    new nodes to ``integrand`` in one array call, until the errors sum to
+    at most max(1e-15, epsrel |I|).  A singular u^a at u = 0 costs one
+    split per factor 2^-(1+a) of error, so the 300-panel cap refuses a
+    below about -0.81 at epsrel 1e-13 and -0.87 at 1e-10 (no catalog field
+    or suite row has such a factor).
+
+    Raises:
+        QuadratureError: when rho <= max(rate, 0), the sum is not finite,
+            or more than 300 panels, or a split below rounding, are needed.
+    """
+    gap = rho - max(rate, 0.0)
+    if gap <= 0.0:
+        raise QuadratureError(f"ratio {rho} inside growth rate {rate}")
+    upper = pad / gap
+    x15, w15 = _gauss_rule(roots_legendre, 15)
+    x7, w7 = _gauss_rule(roots_legendre, 7)
+    nodes = np.concatenate([x15, x7]) + 1.0
+    lo, hi = np.array([0.0]), np.array([upper])
+    val = err = np.empty(0)
+    while True:
+        half = 0.5 * (hi[val.size:] - lo[val.size:])
+        u = lo[val.size:, None] + half[:, None] * nodes
+        f = np.exp(-rho * u) * integrand(u)
+        g15, g7 = half * (f[:, :15] @ w15), half * (f[:, 15:] @ w7)
+        val, err = np.append(val, g15), np.append(err, np.abs(g15 - g7))
+        total, errsum = float(val.sum()), float(err.sum())
+        if not math.isfinite(total + errsum):
+            raise QuadratureError(f"transform integrand is not finite on [0, {upper}]")
+        budget = max(1e-15, epsrel * abs(total))
+        if errsum <= budget:
+            return total
+        split = err > budget / err.size
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        if err.size + mid.size > 300:
+            raise QuadratureError(f"transform needs more than 300 panels on [0, {upper}]")
+        if not np.all(lo[split] < mid):
+            raise QuadratureError(f"transform panel too narrow to split on [0, {upper}]")
+        lo = np.concatenate([lo[keep], lo[split], mid])
+        hi = np.concatenate([hi[keep], mid, hi[split]])
+        val, err = val[keep], err[keep]
+
+
 def _axis_transform(
     atoms,
     axis: str,
@@ -332,31 +381,18 @@ def _axis_transform(
 
     ``rate`` is the field's certified exponential rate on this axis; the
     integral of ``order`` is computed numerically from its definition by
-    ``rl_integral``.
+    ``rl_integral``, once over each sweep's nodes.
     """
-    gap = rho - max(rate, 0.0)
-    if gap <= 0.0:
-        raise QuadratureError(f"ratio {rho} inside growth rate {rate}")
-    upper = 40.0 / gap
-
     if order is None:
-        def integrand(u: float) -> float:
-            v = math.exp(-rho * u)
-            for a in atoms:
-                v *= a.fn(u)
-            return v
+        integrand = partial(_atoms_array, atoms)
     else:
         term = SmoothFn([(1.0, atoms)])
 
-        def integrand(u: float) -> float:
+        def integrand(u: np.ndarray) -> np.ndarray:
             point = tuple(u if ax == axis else 0.0 for ax in AXES)
-            return math.exp(-rho * u) * rl_integral(term, axis, order, point)
+            return rl_integral(term, axis, order, point)
 
-    out = quad(integrand, 0.0, upper, epsabs=1e-14, epsrel=1e-11,
-               limit=300, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"axis transform failed: {out[3]}")
-    return out[0]
+    return _panel_transform(integrand, rate, rho, 40.0, 1e-13)
 
 
 def _sep_transform(
@@ -692,20 +728,12 @@ def _conv1d_transform(atoms_f, atoms_g, rate: float, rho: float) -> float:
     """Transform of the 1-D numeric convolution of two products of atoms."""
     xi, wi = _gauss_rule(roots_legendre, 24)
 
-    def conv1d(u: float) -> float:
-        v = 0.5 * u * (xi + 1.0)
-        vals = _atoms_array(atoms_f, u - v) * _atoms_array(atoms_g, v)
-        return 0.5 * u * float(np.dot(wi, vals))
+    def conv1d(u: np.ndarray) -> np.ndarray:
+        v = 0.5 * u[..., None] * (xi + 1.0)
+        vals = _atoms_array(atoms_f, u[..., None] - v) * _atoms_array(atoms_g, v)
+        return 0.5 * u * (vals @ wi)
 
-    gap = rho - max(rate, 0.0)
-    if gap <= 0.0:
-        raise QuadratureError(f"ratio {rho} inside convolution growth rate")
-    upper = 45.0 / gap
-    out = quad(lambda u: math.exp(-rho * u) * conv1d(u), 0.0, upper,
-               epsabs=1e-13, epsrel=1e-10, limit=300, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"convolution transform failed: {out[3]}")
-    return out[0]
+    return _panel_transform(conv1d, rate, rho, 45.0, 1e-10)
 
 
 def _suite_convolution(report: VerificationReport, rng) -> None:

@@ -1,14 +1,22 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
-from shehu.errors import MissingBoundary, UnknownSuite
+from shehu import forward, fracops, opcalc
+from shehu.errors import MissingBoundary, QuadratureError, UnknownSuite
 from shehu.forward import QuadratureConfig, RatioPoint, shehu_3d
+from shehu.fracops import AXES, SmoothFn, rl_integral
 from shehu.funclib import catalog, get_field
 from shehu.opcalc import (
     BoundaryTransforms,
+    _axis_transform,
+    _conv1d_transform,
+    _on_axis,
+    _panel_transform,
     _sep_transform,
     boundary_from_quadrature,
     caputo_rule,
@@ -45,8 +53,8 @@ class TestIntegralRule:
 
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_separable_transform_covers_catalog(self, name):
-        """The verification side's per-axis transform of every catalog
-        field agrees with nested adaptive quadrature of its values."""
+        """The verification side's per-axis Gauss-Legendre panels agree, on
+        every catalog field, with forward's tensor tanh-sinh rule."""
         fld = get_field(name)
         vars = RatioPoint.from_ratios(1.9, 2.3, 2.7)
         cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-11, tail_cut_tol=1e-9)
@@ -154,6 +162,75 @@ class TestConvolve:
         lhs2 = _tensor_transform(conv.fn, vars)
         rhs2 = shehu_3d(f, vars, cfg) ** 2
         assert_allclose(lhs2, rhs2, rtol=1e-6)
+
+
+class TestPanelTransform:
+    @pytest.mark.parametrize("a", [0.3, -0.5, -0.8])
+    def test_power_closed_form(self, a):
+        """int_0^inf e^(-rho u) u^a du = Gamma(1+a) / rho^(1+a), singular a included."""
+        rho = 1.3
+        got = _panel_transform(lambda u: u ** a, 0.0, rho, 40.0, 1e-13)
+        assert_allclose(got, math.gamma(1.0 + a) / rho ** (1.0 + a), rtol=1e-12)
+
+    def test_long_oscillatory_range(self):
+        """sin(pi u) at rho = 0.55, where the cut U = 40 / rho is about 73."""
+        rho = 0.55
+        got = _panel_transform(lambda u: np.sin(np.pi * u), 0.0, rho, 40.0, 1e-13)
+        assert_allclose(got, math.pi / (rho ** 2 + math.pi ** 2), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "integrand, rate, rho",
+        [
+            (lambda u: u ** -0.95, 0.0, 1.3),  # corner panel needs over 300 bisections
+            (lambda u: np.sin(1e4 * u), 0.0, 1.3),
+            (lambda u: np.full_like(u, math.nan), 0.0, 1.3),
+            (lambda u: u, 1.3, 1.3),
+        ],
+        ids=["power-cap", "oscillation", "nan", "rho-inside-rate"],
+    )
+    def test_refusals_are_typed(self, integrand, rate, rho):
+        with pytest.raises(QuadratureError):
+            _panel_transform(integrand, rate, rho, 40.0, 1e-13)
+
+    @pytest.mark.parametrize("order", [0.3, 0.5, 1.5])
+    @pytest.mark.parametrize(
+        "fname, axis, rho",
+        [("sine-product", "y", 0.55), ("sinpix-expt", "x", 0.9),
+         ("exp-xyt", "t", 0.7), ("xyt", "t", 1.2)],
+    )
+    def test_axis_transform_matches_quadpack(self, fname, axis, rho, order):
+        """Fractional-image transforms against QUADPACK over scalar rl_integral calls."""
+        fld = get_field(fname)
+        atoms = _on_axis(fld.smooth.terms[0][1], axis)
+        rate = fld.rates[AXES.index(axis)]
+        term = SmoothFn([(1.0, atoms)])
+
+        def integrand(u):
+            point = tuple(u if ax == axis else 0.0 for ax in AXES)
+            return math.exp(-rho * u) * rl_integral(term, axis, order, point)
+
+        gap = rho - max(rate, 0.0)
+        ref = quad(integrand, 0.0, 40.0 / gap, epsabs=1e-14, epsrel=1e-11, limit=300)[0]
+        assert_allclose(_axis_transform(atoms, axis, rate, rho, order), ref, rtol=1e-12)
+
+
+def test_verification_runs_without_quadpack(monkeypatch):
+    """No QUADPACK call is left at run time on the operational or convolution paths."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    for mod in (forward, fracops, opcalc):
+        monkeypatch.setattr(mod, "quad", refuse)
+    for suite, tol in (("operational-integrals", 1e-6), ("operational-derivatives", 1e-5)):
+        rep = verify_suite(suite, tol, 42)
+        assert rep.passed, [r for r in rep.rows if not r.passed]
+    # (e^-u * e^-2u) transforms to 1 / ((rho + 1)(rho + 2))
+    f_atoms = _on_axis(get_field("exp-xyt").smooth.terms[0][1], "x")
+    g_atoms = _on_axis(get_field("exp-2xyt").smooth.terms[0][1], "x")
+    rho = 1.7
+    got = _conv1d_transform(f_atoms, g_atoms, -1.0, rho)
+    assert_allclose(got, 1.0 / ((rho + 1.0) * (rho + 2.0)), rtol=1e-10)
 
 
 class TestVerifySuites:
