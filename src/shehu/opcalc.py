@@ -15,10 +15,10 @@ boundary groups with alternating signs.
 
 ``verify_suite`` replaces proofs with numbers: each rule instance is
 evaluated on both sides with independent machinery (forward's tensor
-tanh-sinh rule, adaptive Gauss-Legendre panels over per-axis atom
-products on the separable path, fixed Gauss-Laguerre/Legendre rules for
-the convolution law, and fractional operators by fracops' tanh-sinh rule
-on their defining integrals) and reported row by row.
+tanh-sinh rule; numpy's Gauss-Legendre nodes in adaptive panels over
+per-axis atom products on the separable path and, with its Gauss-Laguerre
+nodes, in fixed rules for the convolution law; fracops' tanh-sinh rule on
+the defining integrals of fractional operators) and reported row by row.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad  # unused here; perfbench's tracer patches this binding
-from scipy.special import roots_laguerre, roots_legendre
+from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 
 from .errors import MissingBoundary, QuadratureError, UnknownSuite
 from .forward import (
@@ -49,6 +49,7 @@ from .fracops import AXES, FracOrder, SmoothFn, caputo_derivative, rl_integral
 from .funclib import FieldFn, get_field, ml_kernel_field
 from .inverse import DEFAULT_INVERSION, invert_1d, invert_3d
 from .specfun import MLParams, mittag_leffler
+quad = None  # nothing here calls it; perfbench's tracer patches this name
 
 __all__ = [
     "BoundaryTransforms",
@@ -221,7 +222,7 @@ def _transform_over(f: ExpOrderFn, axes: Sequence[str], vars, cfg, frozen):
 
 @lru_cache(maxsize=64)
 def _gauss_rule(family: Callable, *args):
-    """(nodes, weights) of a scipy Gauss rule, cached and read-only: callers share them."""
+    """(nodes, weights) of a numpy Gauss rule, cached and read-only: callers share them."""
     rule = family(*args)
     for arr in rule:
         arr.flags.writeable = False
@@ -229,7 +230,7 @@ def _gauss_rule(family: Callable, *args):
 
 
 def _legendre_axis(n: int, length: float):
-    xi, wi = _gauss_rule(roots_legendre, n)
+    xi, wi = _gauss_rule(leggauss, n)
     return 0.5 * length * (xi + 1.0), 0.5 * length * wi
 
 
@@ -341,8 +342,8 @@ def _panel_transform(integrand, rate: float, rho: float, pad: float, epsrel: flo
     if gap <= 0.0:
         raise QuadratureError(f"ratio {rho} inside growth rate {rate}")
     upper = pad / gap
-    x15, w15 = _gauss_rule(roots_legendre, 15)
-    x7, w7 = _gauss_rule(roots_legendre, 7)
+    x15, w15 = _gauss_rule(leggauss, 15)
+    x7, w7 = _gauss_rule(leggauss, 7)
     nodes = np.concatenate([x15, x7]) + 1.0
     lo, hi = np.array([0.0]), np.array([upper])
     val = err = np.empty(0)
@@ -711,7 +712,7 @@ def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
 
 def _tensor_transform(fn, vars: RatioPoint, n: int = 20) -> float:
     """Fixed Gauss-Laguerre tensor rule for the triple transform of ``fn``."""
-    xi, wi = _gauss_rule(roots_laguerre, n)
+    xi, wi = _gauss_rule(laggauss, n)
     rho = [float(vars.ratio(ax)) for ax in AXES]
     acc = 0.0
     for i in range(n):
@@ -726,7 +727,7 @@ def _tensor_transform(fn, vars: RatioPoint, n: int = 20) -> float:
 
 def _conv1d_transform(atoms_f, atoms_g, rate: float, rho: float) -> float:
     """Transform of the 1-D numeric convolution of two products of atoms."""
-    xi, wi = _gauss_rule(roots_legendre, 24)
+    xi, wi = _gauss_rule(leggauss, 24)
 
     def conv1d(u: np.ndarray) -> np.ndarray:
         v = 0.5 * u[..., None] * (xi + 1.0)

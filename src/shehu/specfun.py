@@ -26,7 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, PoleError
@@ -447,6 +446,7 @@ def _wright_sum_mp(
     scale: float,
 ) -> complex:
     """Re-sum the non-guarded terms in extended precision."""
+    import mpmath  # its only user: importing the package does not load it
     dps = 30 + int(max(0.0, math.log10(max_mag / scale)))
     with mpmath.workdps(dps):
         ms = mpmath.mpmathify(sigma)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +195,30 @@ class TestConfig:
         code, _, err = run(capsys, "--config", "/nonexistent/x.cfg",
                            "verify", "--suite", "roundtrip")
         assert code == 2
+
+
+_RUNTIME_IMPORTS = """
+import json, sys
+from shehu.cli import main
+codes = [
+    main(["solve", "heat", "--gamma", "0.7", "--mode", "reconstruct", "--grid-n", "2",
+          "--nodes", "8", "--output", sys.argv[1]]),
+    main(["transform", "--dims", "1", "--axis", "t", "--func", "exp-xyt", "--ratios", "2"]),
+    main(["verify", "--suite", "ml-kernel", "--seed", "7"]),
+]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_commands_run_without_scipy_or_mpmath(tmp_path):
+    """The runtime needs numpy only: SciPy is a test reference, mpmath loads on first use."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNTIME_IMPORTS, str(tmp_path / "field.csv")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "loaded": []}

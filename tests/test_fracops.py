@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import expit, log_expit
 
 from shehu.errors import DomainError, MissingDerivative, QuadratureError
 from shehu.fracops import (
+    _H0,
+    _KERNEL_CUT,
+    _T_LEFT,
+    _T_RIGHT,
     AXES,
     FracOrder,
+    _ts_rule,
     caputo_derivative,
     power_rule_integral,
     rl_derivative,
@@ -248,6 +254,22 @@ def test_rl_derivative_arrays_match_scalar_calls():
 def test_any_bad_array_coordinate_is_refused(op, bad):
     with pytest.raises(DomainError):
         op(axis_power("x", 2.0), "x", 0.5, (np.array([[0.5, 0.0], [bad, 1.0]]), 0.3, 0.2))
+
+
+@pytest.mark.parametrize("level", range(8))
+@pytest.mark.parametrize("g", [1e-3, 0.3, 0.5, 1.0, 1.5])
+def test_ts_rule_matches_expit_form(level, g):
+    """Nodes and kernel weights agree with SciPy's expit/log_expit form of the rule."""
+    h = _H0 / 2 ** level
+    t_right = min(math.asinh(_KERNEL_CUT / (g * math.pi)), _T_RIGHT)
+    start, step = (-_T_LEFT, h) if level == 0 else (-_T_LEFT + h, 2.0 * h)
+    t = np.arange(start, t_right, step)
+    y = math.pi * np.sinh(t)
+    s_ref = expit(y)
+    w_ref = math.pi * np.cosh(t) * s_ref * np.exp(g * log_expit(-y))
+    s, w = _ts_rule(level, g)
+    assert_allclose(s, s_ref, rtol=1e-15, atol=0.0)
+    assert_allclose(w, w_ref, rtol=1e-15, atol=0.0)
 
 
 class TestCaputo:

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import roots_laguerre
 
 from shehu import forward, fracops, opcalc
 from shehu.errors import MissingBoundary, QuadratureError, UnknownSuite
@@ -15,6 +18,7 @@ from shehu.opcalc import (
     BoundaryTransforms,
     _axis_transform,
     _conv1d_transform,
+    _gauss_rule,
     _on_axis,
     _panel_transform,
     _sep_transform,
@@ -162,6 +166,28 @@ class TestConvolve:
         lhs2 = _tensor_transform(conv.fn, vars)
         rhs2 = shehu_3d(f, vars, cfg) ** 2
         assert_allclose(lhs2, rhs2, rtol=1e-6)
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("n", [7, 15, 24])
+    def test_legendre_integrates_degree_2n_minus_1(self, n):
+        """int_-1^1 x^k dx = 2/(k+1) for even k, 0 for odd k, for every k <= 2n-1."""
+        x, w = _gauss_rule(leggauss, n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(w @ x ** k) - exact) <= 1e-14, k
+
+    def test_laguerre_moments(self):
+        """int_0^inf x^k e^-x dx = k! for k <= 20."""
+        x, w = _gauss_rule(laggauss, 20)
+        for k in range(21):
+            assert_allclose(float(w @ x ** k), math.factorial(k), rtol=1e-13)
+
+    def test_laguerre_matches_scipy(self):
+        x, w = _gauss_rule(laggauss, 20)
+        xs, ws = roots_laguerre(20)
+        assert_allclose(x, xs, rtol=2e-13, atol=0.0)
+        assert_allclose(w, ws, rtol=2e-13, atol=0.0)
 
 
 class TestPanelTransform:
