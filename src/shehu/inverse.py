@@ -15,16 +15,15 @@ floor instead of trading accuracy for contour growth.
 A real-node weighted-sum fallback (exponential-sampling weights) serves
 callables that can only be evaluated at real ratios.
 
-Triple inversion takes the tensor product of the per-axis rules: ``F``
-is evaluated on the broadcast node grid, which it must support, one slab
-of x-nodes at a time, and the real part of the full complex tensor sum is
-returned, so the original is assumed real-valued, as in the single-axis
-case.
+One engine serves one and three axes with either method: it takes the
+tensor product of the per-axis rules, calls ``F`` on node arrays, which it
+must broadcast over, one slab of first-axis nodes at a time, and contracts
+the grid with the weights in one sum.  The originals are assumed
+real-valued: ``invert_1d`` and ``invert_3d`` return the real part.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,23 +85,17 @@ def _talbot_nodes(point: float, m: int, scale: float):
     """Contour nodes s_k and weights w_k with f(u) = sum w_k exp(s_k u) F(s_k).
 
     Midpoint sampling of theta in (-pi, pi) avoids both endpoints, where
-    cot(theta) blows up; 2m nodes total.  Cached and read-only: a grid
-    reuses each axis value's contour.
+    cot(theta) blows up, and theta = 0; 2m nodes total.  Cached and
+    read-only: a grid reuses each axis value's contour.
     """
     r0 = TALBOT_RT * scale / point
     nodes = []
     weights = []
     for k in range(2 * m):
         theta = -math.pi + (k + 0.5) * math.pi / m
-        if abs(theta) < 1e-12:
-            s = complex(r0, 0.0)
-            ds = complex(0.0, r0)
-        else:
-            cot = math.cos(theta) / math.sin(theta)
-            s = r0 * theta * complex(cot, 1.0)
-            dcot = cot - theta * (1.0 + cot * cot)
-            ds = r0 * complex(dcot, 1.0)
-        nodes.append(s)
+        cot = math.cos(theta) / math.sin(theta)
+        nodes.append(r0 * theta * complex(cot, 1.0))
+        ds = r0 * complex(cot - theta * (1.0 + cot * cot), 1.0)
         # trapezoid step pi/m over theta, divided by 2*pi*i
         weights.append(ds * (math.pi / m) / (2.0j * math.pi))
     nodes, weights = np.asarray(nodes), np.asarray(weights)
@@ -111,8 +104,8 @@ def _talbot_nodes(point: float, m: int, scale: float):
 
 
 @lru_cache(maxsize=32)
-def _stehfest_weights(n: int) -> tuple[float, ...]:
-    """Classic real-node summation weights of even order ``n``."""
+def _stehfest_weights(n: int) -> np.ndarray:
+    """Classic real-node summation weights of even order ``n``, cached and read-only."""
     half = n // 2
     weights = []
     for k in range(1, n + 1):
@@ -128,67 +121,84 @@ def _stehfest_weights(n: int) -> tuple[float, ...]:
             )
             acc += num / den
         weights.append((-1.0) ** (k + half) * acc)
-    return tuple(weights)
+    weights = np.array(weights)
+    weights.flags.writeable = False
+    return weights
 
 
-def _stehfest_invert(F: Callable, point: float, cfg: InversionConfig) -> float:
-    n = min(cfg.nodes, 18)
-    n -= n % 2
-    w = _stehfest_weights(n)
-    ln2 = math.log(2.0)
-    total = 0.0
-    for k in range(1, n + 1):
-        val = F(k * ln2 / point)
-        val = complex(val).real
-        if not math.isfinite(val):
-            raise ContourError(f"non-finite transform value at real node {k}")
-        total += w[k - 1] * val
-    return ln2 / point * total
+def _axis_rule(u: float, n: int, cfg: InversionConfig):
+    """Nodes s_k and weights c_k of ``n`` nodes with f(u) ~ sum c_k F(s_k)."""
+    if cfg.method == "stehfest":
+        ln2 = math.log(2.0)
+        return np.arange(1, n + 1) * ln2 / u, _stehfest_weights(n) * ln2 / u
+    s, w = _talbot_nodes(u, n // 2, cfg.contour_scale)
+    return s, w * np.exp(s * u)
+
+
+def _invert(F: Callable, point: tuple[float, ...], cfg: InversionConfig) -> complex:
+    """Tensor-product inversion sum at ``point``, one axis per coordinate.
+
+    The real-node method sums the real part of ``F``, so its result is real.
+    """
+    if not all(0.0 < u < math.inf for u in point):
+        raise ValueError(f"inversion point must be finite and positive, got {point}")
+    d = len(point)
+    if cfg.method == "stehfest":
+        # nested real-node weights multiply, so the 1-D cancellation budget
+        # is raised to the power d; beyond 8 nodes per axis the 3-D tensor
+        # weights exceed what double precision can cancel
+        n = min(cfg.nodes, 18 if d == 1 else 8)
+        n -= n % 2
+    else:
+        n = 2 * cfg.nodes
+    if n ** d > cfg.eval_budget:
+        raise CostBudgetError(f"{n ** d} evaluations exceed budget {cfg.eval_budget}")
+    nodes, weights = zip(*(_axis_rule(u, n, cfg) for u in point))
+    vals = _eval_grid(F, nodes)
+    if cfg.method == "stehfest":
+        vals = vals.real
+    axes = "ijk"[:d]
+    return complex(np.einsum(f"{','.join(axes)},{axes}->", *weights, vals))
 
 
 def invert_1d_complex(
-    F: Callable[[complex], complex],
+    F: Callable[[np.ndarray], np.ndarray],
     point: float,
     cfg: InversionConfig = DEFAULT_INVERSION,
 ) -> complex:
-    """Deformed-contour inversion returning the full complex sum.
+    """``invert_1d`` returning the full complex sum.
 
-    The imaginary part measures how far ``F`` departs from the conjugate
-    symmetry of transforms of real-valued functions.
+    The imaginary part of the contour sum measures how far ``F`` departs
+    from the conjugate symmetry of transforms of real-valued functions;
+    the real-node sum is real.
     """
-    if point <= 0.0:
-        raise ValueError("inversion point must be positive")
-    nodes, weights = _talbot_nodes(point, cfg.nodes, cfg.contour_scale)
-    total = 0.0 + 0.0j
-    for s, w in zip(nodes, weights):
-        val = complex(F(s))
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise ContourError(f"non-finite transform value at contour node {s}")
-        total += w * cmath.exp(s * point) * val
-    return total
+    return _invert(F, (point,), cfg)
 
 
 def invert_1d(
-    F: Callable[[complex], complex],
+    F: Callable[[np.ndarray], np.ndarray],
     point: float,
     cfg: InversionConfig = DEFAULT_INVERSION,
 ) -> float:
     """Invert a single-axis transform at ``point`` > 0.
 
+    ``F`` is called once, on the array of all nodes of ``cfg``'s rule (the
+    2*nodes contour nodes, or the real nodes), and must return values of
+    that shape; wrap a scalar-only callable with ``np.frompyfunc(F, 1, 1)``.
     Fractional powers inside ``F`` must use the principal branch; for
     transforms of real-valued originals the imaginary residue of the
     contour sum is at the rounding floor and is discarded here.
 
     Raises:
-        ContourError: when contour evaluations produce non-finite values.
+        ValueError: when ``point`` is not finite and positive.
+        ContourError: when ``F`` returns non-finite values.
+        DomainError: when ``F`` returns values of another shape.
     """
-    if cfg.method == "stehfest":
-        return _stehfest_invert(F, point, cfg)
-    return invert_1d_complex(F, point, cfg).real
+    return _invert(F, (point,), cfg).real
 
 
 def invert_3d(
-    F: Callable[[complex, complex, complex], complex],
+    F: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     point: tuple[float, float, float],
     cfg: InversionConfig = DEFAULT_INVERSION,
 ) -> float:
@@ -212,68 +222,37 @@ def invert_3d(
     result at that floor.
 
     Raises:
+        ValueError: when a coordinate is not finite and positive.
         CostBudgetError: when the node budget is exceeded.
         ContourError: on non-finite evaluations.
         DomainError: when ``F`` returns values of another shape.
     """
-    x, y, t = point
-    if min(x, y, t) <= 0.0:
-        raise ValueError("inversion point must be componentwise positive")
-
-    if cfg.method == "stehfest":
-        # nested real-node weights multiply, so the 1-D cancellation budget
-        # is cubed; beyond 8 nodes per axis the tensor weights exceed what
-        # double precision can cancel
-        n = min(cfg.nodes, 8)
-        n -= n % 2
-        if n ** 3 > cfg.eval_budget:
-            raise CostBudgetError(f"{n ** 3} evaluations exceed budget {cfg.eval_budget}")
-        w = _stehfest_weights(n)
-        ln2 = math.log(2.0)
-        ps = np.array([k * ln2 / x for k in range(1, n + 1)])
-        qs = np.array([k * ln2 / y for k in range(1, n + 1)])
-        ss = np.array([k * ln2 / t for k in range(1, n + 1)])
-        wx = np.array(w) * ln2 / x
-        wy = np.array(w) * ln2 / y
-        wt = np.array(w) * ln2 / t
-        vals = _eval_grid(F, ps, qs, ss, "real-node grid")
-        return float(np.einsum("i,j,k,ijk->", wx, wy, wt, np.real(vals)))
-
-    m = cfg.nodes
-    if (2 * m) ** 3 > cfg.eval_budget:
-        raise CostBudgetError(
-            f"{(2 * m) ** 3} evaluations exceed budget {cfg.eval_budget}"
-        )
-    px, wx = _talbot_nodes(x, m, cfg.contour_scale)
-    qy, wy = _talbot_nodes(y, m, cfg.contour_scale)
-    st, wt = _talbot_nodes(t, m, cfg.contour_scale)
-    cx = wx * np.exp(px * x)
-    cy = wy * np.exp(qy * y)
-    ct = wt * np.exp(st * t)
-    vals = _eval_grid(F, px, qy, st, "contour grid")
-    return float(np.real(np.einsum("i,j,k,ijk->", cx, cy, ct, vals)))
+    return _invert(F, point, cfg).real
 
 
-def _eval_grid(F, ps, qs, ss, grid: str) -> np.ndarray:
-    """F on the product grid of its node arrays, one slab of x-nodes at a time.
+def _eval_grid(F, axes) -> np.ndarray:
+    """F on the product grid of its node arrays, one slab of first-axis
+    nodes at a time.
 
-    A slab holds at most _BLOCK values (at least one x-node), so the
-    evaluator's temporaries stay cache-sized; an elementwise F gives the
-    same grid, bit for bit, as one broadcast call.
+    ``np.ix_`` puts axis k's nodes along dimension k.  A slab holds at most
+    _BLOCK values (at least one first-axis node), so the evaluator's
+    temporaries stay cache-sized; an elementwise F gives the same grid, bit
+    for bit, as one broadcast call.  Finiteness is checked before shape, so
+    a non-finite scalar is a ContourError.
     """
-    shape = (len(ps), len(qs), len(ss))
+    shape = tuple(len(a) for a in axes)
     vals = np.empty(shape, dtype=complex)
-    rows = max(1, _BLOCK // (shape[1] * shape[2]))
-    q, s = qs[None, :, None], ss[None, None, :]
+    rows = max(1, _BLOCK // math.prod(shape[1:]))
+    first, *rest = np.ix_(*axes)
     for lo in range(0, shape[0], rows):
-        slab = np.asarray(F(ps[lo:lo + rows, None, None], q, s), dtype=complex)
+        slab = np.asarray(F(first[lo:lo + rows], *rest), dtype=complex)
         want = (min(rows, shape[0] - lo),) + shape[1:]
+        if not np.all(np.isfinite(slab)):
+            raise ContourError(f"non-finite transform value on the {want} node grid")
         if slab.shape != want:
             raise DomainError(
                 f"transform returned shape {slab.shape} on the {want} node grid; "
                 "it must broadcast over its arguments"
             )
-        if not np.all(np.isfinite(slab)):
-            raise ContourError(f"non-finite transform value on {grid}")
         vals[lo:lo + rows] = slab
     return vals

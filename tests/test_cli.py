@@ -86,6 +86,13 @@ class TestInvert:
     def test_unknown_pair(self, capsys):
         assert run(capsys, "invert", "--pair", "bogus", "--points", "1")[0] == 2
 
+    def test_nonfinite_point_refused(self, capsys):
+        code, out, err = run(capsys, "invert", "--pair", "one-over-s-plus-1",
+                             "--points", "inf")
+        assert code == 2
+        assert out == ""
+        assert "finite and positive" in err
+
 
 class TestSolve:
     def test_heat_residual_mode(self, capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from shehu.funclib import get_field
 from shehu.inverse import (
     InversionConfig,
     _eval_grid,
+    _stehfest_weights,
     _talbot_nodes,
     invert_1d,
     invert_1d_complex,
@@ -33,6 +35,28 @@ RATIONAL_PAIRS = [
     ("exp", lambda s: 1.0 / (s + 1.0), lambda t: math.exp(-t)),
     ("sin", lambda s: 1.0 / (s * s + 1.0), lambda t: math.sin(t)),
 ]
+ML_PAIR = ("ml", lambda s: s ** -0.5 / (s ** 0.5 + 1.0),
+           lambda t: mittag_leffler(MLParams(0.5, 1.0), -math.sqrt(t)))
+
+
+def _scalar_talbot(F, u, m):
+    """The scalar contour loop that preceded the array engine (reference)."""
+    total = 0.0 + 0.0j
+    for s, w in zip(*_talbot_nodes(u, m, 1.0)):
+        total += w * cmath.exp(s * u) * complex(F(s))
+    return total
+
+
+def _scalar_stehfest(F, u, n):
+    """The scalar real-node loop that preceded the array engine (reference),
+    and the sum of its terms' magnitudes."""
+    w, ln2 = _stehfest_weights(n), math.log(2.0)
+    total = size = 0.0
+    for k in range(1, n + 1):
+        term = w[k - 1] * complex(F(k * ln2 / u)).real
+        total += term
+        size += abs(term)
+    return ln2 / u * total, ln2 / u * size
 
 
 class TestConfig:
@@ -98,8 +122,63 @@ class TestInvert1D:
         assert_allclose(got, 2.0, rtol=1e-5)
 
     def test_positive_point_required(self):
-        with pytest.raises(ValueError):
-            invert_1d(lambda s: 1.0 / s, 0.0)
+        for point in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                invert_1d(lambda s: 1.0 / s, point)
+
+    @pytest.mark.parametrize("method, n, dtype", [("talbot", 48, complex),
+                                                  ("stehfest", 14, float)])
+    def test_one_call_on_the_node_array(self, method, n, dtype):
+        calls = []
+
+        def F(s):
+            calls.append((s.shape, s.dtype))
+            return 1.0 / (s + 1.0)
+
+        cfg = InversionConfig(method=method, nodes=24 if method == "talbot" else n)
+        z = invert_1d_complex(F, 1.0, cfg)
+        assert calls == [((n,), np.dtype(dtype))]
+        assert_allclose(z.real, math.exp(-1.0), rtol=1e-5)
+        if method == "stehfest":
+            assert z.imag == 0.0
+
+    def test_wrong_shape_is_refused(self):
+        for G in (lambda s: 1.0 + 0.0 * s.sum(), lambda s: 1.0 / s[:-1],
+                  lambda s: np.outer(s, s)):
+            with pytest.raises(DomainError, match="shape"):
+                invert_1d(G, 1.0)
+
+    def test_frompyfunc_wrapper(self):
+        def F(s):
+            if np.ndim(s):
+                raise TypeError("scalar only")
+            return s ** -0.5 / (s ** 0.5 + 1.0)
+
+        with pytest.raises(TypeError, match="scalar only"):
+            invert_1d(F, 1.0)
+        got = invert_1d(np.frompyfunc(F, 1, 1), 1.0)
+        assert_allclose(got, ML_PAIR[2](1.0), rtol=1e-8)
+
+    @pytest.mark.parametrize("name, F, f", RATIONAL_PAIRS + [ML_PAIR])
+    def test_engine_matches_scalar_loops(self, name, F, f):
+        """The engine reproduces the scalar loops it replaced.
+
+        Talbot terms reach about 1e2, and numpy's array complex products
+        may round the weights differently from Python's scalar ones, so
+        the sums agree at the rounding floor, not bit for bit.  Stehfest's
+        alternating terms reach about 1e7 and are summed in another order:
+        the two sums agree within one rounding unit of the terms' total
+        magnitude, an absolute bound, as the cancellation is.
+        """
+        for t in (0.3, 0.8, 1.0, 2.2, 4.0):
+            for m in (16, 32, 48):
+                got = invert_1d_complex(F, t, InversionConfig(nodes=m))
+                ref = _scalar_talbot(F, t, m)
+                assert abs(got.real - ref.real) <= 1e-13, (t, m)
+                assert abs(got.imag - ref.imag) <= 1e-13, (t, m)
+            got = invert_1d(F, t, InversionConfig(method="stehfest", nodes=14))
+            ref, size = _scalar_stehfest(F, t, 14)
+            assert abs(got - ref) <= np.finfo(float).eps * size, t
 
 
 class TestInvert3D:
@@ -179,10 +258,10 @@ class TestInvert3D:
         px, qy, st = (_talbot_nodes(u, m, 1.0)[0] for u in points[0])
         full = F(px[:, None, None], qy[None, :, None], st[None, None, :])
         assert np.all(np.isfinite(full))
-        assert np.array_equal(_eval_grid(F, px, qy, st, "contour grid"), full)
+        assert np.array_equal(_eval_grid(F, (px, qy, st)), full)
         sliced = [invert_3d(F, pt, cfg) for pt in points]
         monkeypatch.setattr(inverse, "_BLOCK", 5 * n * n)
-        assert np.array_equal(_eval_grid(F, px, qy, st, "contour grid"), full)
+        assert np.array_equal(_eval_grid(F, (px, qy, st)), full)
         assert [invert_3d(F, pt, cfg) for pt in points] == sliced
         monkeypatch.setattr(inverse, "_BLOCK", n ** 3)
         assert [invert_3d(F, pt, cfg) for pt in points] == sliced
@@ -191,9 +270,21 @@ class TestInvert3D:
         nodes, weights = _talbot_nodes(0.7, 24, 1.0)
         again = _talbot_nodes(0.7, 24, 1.0)
         assert again[0] is nodes and again[1] is weights
-        for arr in (nodes, weights):
+        real_weights = _stehfest_weights(8)
+        assert _stehfest_weights(8) is real_weights
+        assert_allclose(real_weights, [-1 / 3, 145 / 3, -906, 16394 / 3,
+                                       -43130 / 3, 18730, -35840 / 3, 8960 / 3],
+                        rtol=1e-15)
+        for arr in (nodes, weights, real_weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_point_must_be_finite_and_positive(self):
+        F = lambda p, q, s: 1.0 / (p * q * s)
+        for point in ((math.inf, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, 0.0)):
+            for method in ("talbot", "stehfest"):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    invert_3d(F, point, InversionConfig(method=method))
 
     def test_budget_guard(self):
         F = lambda p, q, s: 1.0 / (p * q * s)
