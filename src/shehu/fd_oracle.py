@@ -102,6 +102,8 @@ def l1_heat_solve(
     with c = Gamma(2-g) dt^g / pi^2 and A the 5-point Laplacian.  The
     system is diagonal in the sine basis, so each step divides the modal
     right-hand side by 1 - c*(lam_x + lam_y), exactly up to rounding.
+    The result's ``values`` is a non-contiguous (x, y, t) view of the
+    time-major history array.
 
     Raises:
         ValueError: for an order outside (0, 1].
@@ -126,13 +128,15 @@ def l1_heat_solve(
     # modal history u^0 .. u^nt; each step contracts it with d reversed
     hist = np.empty((grid.nt + 1, grid.nx, grid.ny))
     hist[0] = sx @ _nodal(ic, grid) @ sy
-    out = np.empty((grid.nx, grid.ny, grid.nt))
     for k in range(1, grid.nt + 1):
         lo = max(1, k - nd)
         rhs = b[k - 1] * hist[0] + np.tensordot(d[:k - lo][::-1], hist[lo:k], axes=1)
         hist[k] = rhs / denom
-        out[:, :, k - 1] = sx @ hist[k] @ sy
-    return Grid3Field(grid.xs, grid.ys, grid.ts, out)
+    # back to nodal values in place once the march no longer reads the
+    # modes, so one history array is the only grid-sized allocation
+    for k in range(1, grid.nt + 1):
+        hist[k] = sx @ hist[k] @ sy
+    return Grid3Field(grid.xs, grid.ys, grid.ts, hist[1:].transpose(1, 2, 0))
 
 
 def classical_telegraph_solve(

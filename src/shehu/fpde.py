@@ -22,7 +22,10 @@ counts such terms instead of failing).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Mapping, Sequence
@@ -274,7 +277,10 @@ def telegraph_residual(
 
 @dataclass
 class Grid3Field:
-    """Values on a rectilinear (x, y, t) grid, row-major over (x, y, t).
+    """Values on a rectilinear (x, y, t) grid, indexed [ix, iy, it].
+
+    ``values`` may be a non-contiguous view (the heat oracle returns its
+    time-major history transposed).
 
     ``nan_reasons`` maps the (ix, iy, it) index of each node that a
     reconstruction left NaN to "ExceptionType: message" of the failure.
@@ -321,6 +327,21 @@ class Grid3Field:
             fh.write("\n".join(self.to_table_lines()) + "\n")
 
 
+def _check_axis(name: str, nodes: Sequence[float]) -> None:
+    if len(nodes) == 0:
+        raise ValueError(f"reconstruction grid axis {name} is empty")
+    if not all(0.0 < v < math.inf for v in nodes):
+        raise ValueError(
+            f"reconstruction grid axis {name} must be finite and positive, "
+            f"got {list(nodes)}"
+        )
+    if any(b <= a for a, b in zip(nodes, nodes[1:])):
+        raise ValueError(
+            f"reconstruction grid axis {name} must be strictly increasing, "
+            f"got {list(nodes)}"
+        )
+
+
 def reconstruct(
     F: TransformSolution,
     xs: Sequence[float],
@@ -330,25 +351,71 @@ def reconstruct(
 ) -> Grid3Field:
     """Invert ``F`` on the grid nodes; failed nodes become NaN.
 
-    Grid nodes must be strictly positive on every axis.  Failures
-    (contour breakdown or a singular-locus hit on the contour) are
-    counted via ``Grid3Field.nonfinite_count`` and explained, node by
-    node, in ``Grid3Field.nan_reasons``; cost-budget violations propagate
-    immediately.
+    Each axis must be non-empty, finite, strictly positive and strictly
+    increasing; this is checked before any inversion.  Failures (contour
+    breakdown or a singular-locus hit on the contour) are counted via
+    ``Grid3Field.nonfinite_count`` and explained, node by node, in
+    ``Grid3Field.nan_reasons``.  Any other exception, a cost-budget
+    violation for one, stops the remaining nodes and is raised; when
+    several nodes raise, the one with the lowest (ix, iy, it) index is.
+
+    Nodes are independent ``invert_3d`` calls.  They run on the calling
+    thread plus one helper thread per further CPU in
+    ``os.sched_getaffinity(0)`` (at most one thread per node, and only the
+    calling thread where the platform has no affinity call); every helper
+    is joined before the call returns or raises, and each runs in a copy
+    of the caller's ``contextvars`` context.  ``F.evaluator`` is therefore
+    called concurrently and must not change shared state without a lock.
+    The values and ``nan_reasons`` are identical, bit for bit and key for
+    key, to a serial run.
     """
-    if min(min(xs), min(ys), min(ts)) <= 0.0:
-        raise ValueError("reconstruction grid must be strictly positive")
+    for name, nodes in (("x", xs), ("y", ys), ("t", ts)):
+        _check_axis(name, nodes)
     values = np.empty((len(xs), len(ys), len(ts)))
-    reasons = {}
-    for ix, x in enumerate(xs):
-        for iy, y in enumerate(ys):
-            for it, t in enumerate(ts):
-                try:
-                    values[ix, iy, it] = invert_3d(F.evaluator, (x, y, t), cfg)
-                except (ContourError, SingularDenominator) as exc:
-                    values[ix, iy, it] = math.nan
-                    reasons[ix, iy, it] = f"{type(exc).__name__}: {exc}"
-    return Grid3Field(tuple(xs), tuple(ys), tuple(ts), values, reasons)
+    reasons: dict[tuple[int, int, int], str] = {}
+    errors: dict[tuple[int, int, int], BaseException] = {}
+    pending = np.ndindex(values.shape)
+    take = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        # nodes are handed out in index order, so when one raises, every
+        # node before it has been started and runs to its end
+        while not stop.is_set():
+            with take:
+                node = next(pending, None)
+            if node is None:
+                return
+            ix, iy, it = node
+            try:
+                values[node] = invert_3d(F.evaluator, (xs[ix], ys[iy], ts[it]), cfg)
+            except (ContourError, SingularDenominator) as exc:
+                values[node] = math.nan
+                reasons[node] = f"{type(exc).__name__}: {exc}"
+            except BaseException as exc:  # raised by the caller after the join
+                errors[node] = exc
+                stop.set()
+
+    # platforms without CPU affinity (macOS, Windows) run the nodes serially
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_threads = min(cpus, values.size)
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(n_threads - 1)
+    ]
+    try:
+        for th in helpers:
+            th.start()
+        work()
+    finally:
+        stop.set()
+        for th in helpers:
+            if th.ident is not None:  # started
+                th.join()
+    if errors:
+        raise errors[min(errors)]
+    return Grid3Field(tuple(xs), tuple(ys), tuple(ts), values,
+                      dict(sorted(reasons.items())))
 
 
 def binomial_series(order: float, t: float, max_terms: int = 800) -> float:

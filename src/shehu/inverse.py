@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContourError, CostBudgetError, DomainError
-from .fracops import _BLOCK
 
 __all__ = [
     "InversionConfig",
@@ -209,10 +208,10 @@ def invert_3d(
     must broadcast: it is called once per slab of consecutive x-nodes, with
     node arrays of shapes (k, 1, 1), (1, n, 1) and (1, 1, n), and must
     return the (k, n, n) values; each node is evaluated once, and a slab
-    holds at most 2^16 values (at least one x-node).  Wrap a scalar-only callable (for example
-    with ``np.frompyfunc``) to evaluate it node by node.  The original is
-    assumed real-valued: the imaginary part of the contour sum is
-    discarded, as in ``invert_1d``.
+    holds at most ``_SLAB`` values (at least one x-node).  Wrap a
+    scalar-only callable (for example with ``np.frompyfunc``) to evaluate
+    it node by node.  The original is assumed real-valued: the imaginary
+    part of the contour sum is discarded, as in ``invert_1d``.
 
     The contour sum cancels far more than in 1-D: each axis factor
     exp(s u) reaches exp(TALBOT_RT), so the largest term is up to
@@ -230,19 +229,27 @@ def invert_3d(
     return _invert(F, point, cfg).real
 
 
+#: Most values in one slab of ``_eval_grid``.  ``fpde.reconstruct`` inverts
+#: nodes on several threads, and each thread's malloc arena keeps its freed
+#: slabs resident: 2**16-value slabs raised the ``reconstruct`` benchmark's
+#: peak RSS by 7-10%, while 2**13 made a pass slower than one thread (2.48
+#: against 1.90 s), because the per-slab Python work holds the GIL (2 vCPU).
+_SLAB = 2 ** 14
+
+
 def _eval_grid(F, axes) -> np.ndarray:
     """F on the product grid of its node arrays, one slab of first-axis
     nodes at a time.
 
     ``np.ix_`` puts axis k's nodes along dimension k.  A slab holds at most
-    _BLOCK values (at least one first-axis node), so the evaluator's
+    _SLAB values (at least one first-axis node), so the evaluator's
     temporaries stay cache-sized; an elementwise F gives the same grid, bit
     for bit, as one broadcast call.  Finiteness is checked before shape, so
     a non-finite scalar is a ContourError.
     """
     shape = tuple(len(a) for a in axes)
     vals = np.empty(shape, dtype=complex)
-    rows = max(1, _BLOCK // math.prod(shape[1:]))
+    rows = max(1, _SLAB // math.prod(shape[1:]))
     first, *rest = np.ix_(*axes)
     for lo in range(0, shape[0], rows):
         slab = np.asarray(F(first[lo:lo + rows], *rest), dtype=complex)

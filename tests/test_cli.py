@@ -134,6 +134,16 @@ class TestSolve:
         assert lines[0] == "x,y,t,f"
         assert len(lines) == 1 + 8
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--grid-n", "0"), "axis x is empty"),
+        (("--grid-n", "2", "--grid-extent", "-1"), "axis x must be finite and positive"),
+    ])
+    def test_reconstruct_grid_refused(self, capsys, flags, message):
+        code, out, err = run(capsys, "solve", "heat", "--mode", "reconstruct", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: reconstruction grid {message}")
+
 
 class TestVerify:
     def test_known_suite_passes(self, capsys, tmp_path):
@@ -213,13 +223,19 @@ codes = [
     main(["transform", "--dims", "1", "--axis", "t", "--func", "exp-xyt", "--ratios", "2"]),
     main(["verify", "--suite", "ml-kernel", "--seed", "7"]),
 ]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "mpmath", "logging")
+                or m.startswith("concurrent.futures"))
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_commands_run_without_scipy_or_mpmath(tmp_path):
-    """The runtime needs numpy only: SciPy is a test reference, mpmath loads on first use."""
+    """The runtime needs numpy only: SciPy is a test reference, mpmath loads on first use.
+
+    ``concurrent.futures`` and the ``logging`` it imports stay unloaded too:
+    they would add about 9 ms to every command's start-up.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _RUNTIME_IMPORTS, str(tmp_path / "field.csv")],

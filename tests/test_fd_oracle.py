@@ -5,7 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from shehu.errors import StabilityError
-from shehu.fd_oracle import FDGrid, classical_telegraph_solve, l1_heat_solve
+from shehu.fd_oracle import (
+    FDGrid,
+    _sine_modes,
+    classical_telegraph_solve,
+    l1_heat_solve,
+)
 from shehu.specfun import MLParams, mittag_leffler
 
 
@@ -92,7 +97,6 @@ class TestHeatSolve:
         grid = FDGrid(nx=4, ny=4, nt=4, dt=0.01)
         with pytest.raises(ValueError):
             l1_heat_solve(1.5, sin_mode, grid)
-
 
 class TestTelegraphSolve:
     def test_zero_data(self):
@@ -195,3 +199,34 @@ class TestAgainstDenseReference:
         ref = np.stack(steps, axis=-1).reshape(grid.nx, grid.ny, grid.nt)
         got = classical_telegraph_solve(alpha, beta, lopsided, swirl, grid).values
         assert_allclose(got, ref, rtol=1e-11)
+
+
+class TestHeatHistoryInPlace:
+    @pytest.mark.parametrize("g, shape, ic", [
+        (1.0, (19, 19, 64), lopsided), (1.0, (31, 31, 64), lopsided),
+        (0.5, (31, 31, 64), lopsided), (0.6, (13, 21, 40), lopsided),
+        (1.0, (63, 63, 256), sin_mode), (0.6, (63, 63, 256), sin_mode),
+    ])
+    def test_in_place_history_matches_two_array_loop(self, g, shape, ic):
+        """Nodal values written over the modal history after the march are
+        bit-identical to filling a separate nodal array at every step."""
+        nx, ny, nt = shape
+        grid = FDGrid(nx=nx, ny=ny, nt=nt, dt=0.3 / nt)
+        sx, lx = _sine_modes(nx)
+        sy, ly = _sine_modes(ny)
+        c = math.gamma(2.0 - g) * grid.dt ** g / (math.pi ** 2)
+        denom = 1.0 - c * (lx[:, None] + ly[None, :])
+        j = np.arange(1.0, nt + 1)
+        b = np.concatenate(([1.0], (j + 1.0) ** (1.0 - g) - j ** (1.0 - g)))
+        d = b[:-1] - b[1:]
+        nd = int(np.flatnonzero(d)[-1]) + 1
+        hist = np.empty((nt + 1, nx, ny))
+        hist[0] = sx @ np.array([[ic(x, y) for y in grid.ys]
+                                 for x in grid.xs]) @ sy
+        ref = np.empty((nx, ny, nt))
+        for k in range(1, nt + 1):
+            lo = max(1, k - nd)
+            rhs = b[k - 1] * hist[0] + np.tensordot(d[:k - lo][::-1], hist[lo:k], axes=1)
+            hist[k] = rhs / denom
+            ref[:, :, k - 1] = sx @ hist[k] @ sy
+        assert np.array_equal(l1_heat_solve(g, ic, grid).values, ref)

@@ -1,10 +1,20 @@
+import contextvars
+import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shehu.errors import DivergenceError, SingularDenominator
+from shehu.errors import (
+    ContourError,
+    CostBudgetError,
+    DivergenceError,
+    SingularDenominator,
+)
 from shehu.fpde import (
     Grid3Field,
     HeatSpec,
@@ -19,8 +29,7 @@ from shehu.fpde import (
     telegraph_residual,
     telegraph_transform_solution,
 )
-from shehu.fracops import _BLOCK
-from shehu.inverse import _talbot_nodes
+from shehu.inverse import _SLAB, InversionConfig, _talbot_nodes, invert_3d
 
 PI = math.pi
 PI2 = PI * PI
@@ -231,10 +240,11 @@ class TestReconstructAndGrid:
         """A SingularDenominator from a slab call marks the node NaN.
 
         Talbot nodes for x reach real part 9/x, so only x = 0.5 touches the
-        fake singular locus Re p > 12.  F sees contiguous slabs of x-nodes
-        in contour order; no x-node is evaluated twice, the failing point
-        stops at its first singular slab, and x = 1.0 covers all 64 rows.
-        The node records why it is NaN.
+        fake singular locus Re p > 12.  Points may run on different
+        threads, so the recorded slabs are grouped by contour: each point
+        sees contiguous slabs of its x-nodes in contour order, no x-node is
+        evaluated twice, x = 0.5 stops at its first singular slab, and
+        x = 1.0 covers all 64 rows.  The node records why it is NaN.
         """
         slabs = []
 
@@ -252,20 +262,43 @@ class TestReconstructAndGrid:
         assert fld.nan_reasons == {
             (0, 0, 0): "SingularDenominator: evaluation on singular locus: test"}
 
-        rows = _BLOCK // 64 ** 2
+        rows = _SLAB // 64 ** 2
         assert all(0 < len(p) <= rows for p in slabs)
         half, one = _talbot_nodes(0.5, 32, 1.0)[0], _talbot_nodes(1.0, 32, 1.0)[0]
-        seen = np.concatenate(slabs)
-        k = len(seen) - 64  # x-nodes evaluated for x = 0.5 before it failed
+        of_half = [p for p in slabs if np.isin(p[0], half)]
+        of_one = [p for p in slabs if np.isin(p[0], one)]
+        assert len(of_half) + len(of_one) == len(slabs)
+        assert np.array_equal(np.concatenate(of_one), one)
+        seen = np.concatenate(of_half)
+        k = len(seen)  # x-nodes evaluated for x = 0.5 before it failed
         assert 0 < k < 64
-        assert np.array_equal(seen, np.concatenate((half[:k], one)))
-        last_half = slabs[-1 - math.ceil(64 / rows)]
-        assert np.max(np.real(last_half)) > 12.0
+        assert np.array_equal(seen, half[:k])
+        assert [np.max(np.real(p)) > 12.0 for p in of_half] == (
+            [False] * (len(of_half) - 1) + [True])
 
     def test_positive_grid_required(self):
         F = TransformSolution(lambda p, q, s: 1.0 / (p * q * s), ())
         with pytest.raises(ValueError):
             reconstruct(F, (0.0, 1.0), (0.5,), (0.5,))
+
+    @pytest.mark.parametrize("axes, message", [
+        (((), (0.5,), (0.5,)), "axis x is empty"),
+        (((0.5,), (0.0, 1.0), (0.5,)), "axis y must be finite and positive"),
+        (((0.5,), (0.5,), (0.5, math.nan)), "axis t must be finite and positive"),
+        (((0.5,), (0.5,), (math.inf,)), "axis t must be finite and positive"),
+        (((1.0, 0.5), (0.5,), (0.5,)), "axis x must be strictly increasing"),
+        (((0.5,), (0.5, 0.5), (0.5,)), "axis y must be strictly increasing"),
+    ])
+    def test_grid_checked_before_any_inversion(self, axes, message):
+        calls = []
+
+        def evaluator(p, q, s):
+            calls.append(p.shape)
+            return 1.0 / (p * q * s)
+
+        with pytest.raises(ValueError, match=f"reconstruction grid {message}"):
+            reconstruct(TransformSolution(evaluator, ()), *axes)
+        assert calls == []
 
     def test_grid_serialization(self):
         fld = Grid3Field((0.5,), (1.0,), (1.5,), np.array([[[2.0]]]))
@@ -279,3 +312,179 @@ class TestReconstructAndGrid:
             Grid3Field((0.5,), (1.0,), (1.5,), np.zeros((2, 1, 1)))
         with pytest.raises(ValueError):
             Grid3Field((1.0, 0.5), (1.0,), (1.5,), np.zeros((2, 1, 1)))
+
+
+def _serial_reconstruct(F, xs, ys, ts, cfg):
+    """The node loop ``reconstruct`` ran before it spread nodes over threads."""
+    values = np.empty((len(xs), len(ys), len(ts)))
+    reasons = {}
+    for ix, x in enumerate(xs):
+        for iy, y in enumerate(ys):
+            for it, t in enumerate(ts):
+                try:
+                    values[ix, iy, it] = invert_3d(F.evaluator, (x, y, t), cfg)
+                except (ContourError, SingularDenominator) as exc:
+                    values[ix, iy, it] = math.nan
+                    reasons[ix, iy, it] = f"{type(exc).__name__}: {exc}"
+    return values, reasons
+
+
+def _separable(p, q, s):
+    return 1.0 / ((p + 0.5) * (q + 1.5) * (s + 1.0))
+
+
+def _fake_singular(p, q, s):
+    """Singular for x < 0.75 (Re p > 12), non-finite for t < 0.45 (Re s > 20)."""
+    if np.max(np.real(p)) > 12.0:
+        raise SingularDenominator("evaluation on singular locus: test")
+    return np.where(np.real(s) > 20.0, np.nan, _separable(p, q, s))
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestReconstructThreads:
+    """Nodes run on one thread per CPU with the results of a serial loop."""
+
+    XS, YS, TS = (0.3, 0.75, 1.2), (0.5, 1.0), (0.4, 0.9, 1.5)
+
+    @pytest.mark.parametrize("m", [16, 24])
+    @pytest.mark.parametrize("name", ["heat", "telegraph", "separable", "singular"])
+    def test_matches_serial_loop(self, name, m, monkeypatch):
+        F = {
+            "heat": heat_transform_solution(HeatSpec(gamma=0.7)),
+            "telegraph": telegraph_transform_solution(
+                TelegraphSpec(gamma=0.9, alpha=0.5, beta=1.0)),
+            "separable": TransformSolution(_separable, ()),
+            "singular": TransformSolution(_fake_singular, ("Re p > 12",)),
+        }[name]
+        cfg = InversionConfig(nodes=m)
+        _cpus(monkeypatch, 4)
+        fld = reconstruct(F, self.XS, self.YS, self.TS, cfg)
+        values, reasons = _serial_reconstruct(F, self.XS, self.YS, self.TS, cfg)
+        assert np.array_equal(fld.values, values, equal_nan=True)
+        assert fld.nonfinite_count == np.count_nonzero(~np.isfinite(values))
+        assert list(fld.nan_reasons.items()) == list(reasons.items())
+        if name == "singular":
+            assert {r.split(":")[0] for r in reasons.values()} == {
+                "SingularDenominator", "ContourError"}
+            assert 0 < len(reasons) < values.size
+
+    def test_every_node_evaluated_once_under_fast_switching(self, monkeypatch):
+        """Eight threads on a 120-node grid, switching every microsecond.
+
+        At 8 nodes a point's 16^3 contour grid is one slab, so the first
+        node of each axis contour names the point an evaluator call
+        belongs to.
+        """
+        xs, ys, ts = (0.3, 0.5, 0.7, 0.9, 1.1, 1.3), (0.4, 0.8, 1.2, 1.6, 2.0), (
+            0.5, 1.0, 1.5, 2.0)
+        cfg = InversionConfig(nodes=8)
+        first = [{_talbot_nodes(u, 8, 1.0)[0][0]: u for u in axis}
+                 for axis in (xs, ys, ts)]
+        seen = []
+
+        def evaluator(p, q, s):
+            seen.append(tuple(f[a.flat[0]] for f, a in zip(first, (p, q, s))))
+            return _separable(p, q, s)
+
+        F = TransformSolution(evaluator, ())
+        _cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fld = reconstruct(F, xs, ys, ts, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(itertools.product(xs, ys, ts))
+        values, _ = _serial_reconstruct(TransformSolution(_separable, ()), xs, ys, ts, cfg)
+        assert np.array_equal(fld.values, values)
+
+    def test_error_at_lowest_node_is_raised_after_join(self, monkeypatch):
+        """Every node with x >= 0.75 raises; the caller gets node (1, 0, 0)'s.
+
+        At 8 nodes a point is one slab, named by its first contour nodes.
+        """
+        first_x = {_talbot_nodes(x, 8, 1.0)[0][0]: x for x in self.XS}
+        first_t = {_talbot_nodes(t, 8, 1.0)[0][0]: t for t in self.TS}
+
+        def evaluator(p, q, s):
+            x, t = first_x[p.flat[0]], first_t[s.flat[0]]
+            if x >= 0.75:
+                raise RuntimeError(f"evaluator broke at x={x}, t={t}")
+            return 1.0 / (p * q * s)
+
+        _cpus(monkeypatch, 4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=r"^evaluator broke at x=0.75, t=0.4$"):
+            reconstruct(TransformSolution(evaluator, ()), self.XS, self.YS, self.TS,
+                        InversionConfig(nodes=8))
+        assert threading.active_count() == before
+
+    def test_budget_error_is_raised_after_join(self, monkeypatch):
+        F = TransformSolution(lambda p, q, s: 1.0 / (p * q * s), ())
+        _cpus(monkeypatch, 4)
+        before = threading.active_count()
+        with pytest.raises(CostBudgetError):
+            reconstruct(F, self.XS, self.YS, self.TS,
+                        InversionConfig(nodes=16, eval_budget=1000))
+        assert threading.active_count() == before
+
+    def test_interrupt_in_caller_joins_helpers(self, monkeypatch):
+        """Helpers hold their first node until the caller is interrupted."""
+        caller = threading.get_ident()
+        interrupted = threading.Event()
+
+        def evaluator(p, q, s):
+            if threading.get_ident() == caller:
+                interrupted.set()
+                raise KeyboardInterrupt
+            assert interrupted.wait(timeout=30)
+            return 1.0 / (p * q * s)
+
+        _cpus(monkeypatch, 4)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            reconstruct(TransformSolution(evaluator, ()), self.XS, self.YS, self.TS,
+                        InversionConfig(nodes=8))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_one_cpu_starts_no_thread(self, cpus, monkeypatch):
+        """One CPU, or no affinity call (macOS, Windows): the caller does all."""
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            _cpus(monkeypatch, cpus)
+        idents = []
+
+        def evaluator(p, q, s):
+            idents.append(threading.get_ident())
+            return 1.0 / (p * q * s)
+
+        fld = reconstruct(TransformSolution(evaluator, ()), self.XS, self.YS, self.TS,
+                          InversionConfig(nodes=8))
+        assert fld.nonfinite_count == 0
+        assert set(idents) == {threading.get_ident()}
+
+    def test_caller_context_is_visible_at_every_node(self, monkeypatch):
+        var = contextvars.ContextVar("var")
+        token = var.set("caller")
+        seen = []
+
+        def evaluator(p, q, s):
+            seen.append(var.get(None))
+            return 1.0 / (p * q * s)
+
+        _cpus(monkeypatch, 4)
+        try:
+            reconstruct(TransformSolution(evaluator, ()), self.XS, self.YS, self.TS,
+                        InversionConfig(nodes=8))
+        finally:
+            var.reset(token)
+        assert seen == ["caller"] * (len(self.XS) * len(self.YS) * len(self.TS))

@@ -14,9 +14,9 @@ from shehu.fpde import (
     heat_transform_solution,
     telegraph_transform_solution,
 )
-from shehu.fracops import _BLOCK
 from shehu.funclib import get_field
 from shehu.inverse import (
+    _SLAB,
     InversionConfig,
     _eval_grid,
     _stehfest_weights,
@@ -228,7 +228,7 @@ class TestInvert3D:
         cfg = InversionConfig(nodes=16)
         with pytest.raises(TypeError, match="scalar only"):
             invert_3d(F, (1.0, 1.0, 1.0), cfg)
-        assert calls == [(min(32, _BLOCK // 32 ** 2), 1, 1)]
+        assert calls == [(min(32, _SLAB // 32 ** 2), 1, 1)]
         for G in (lambda p, q, s: 1.0 + 0.0 * p.sum(),
                   lambda p, q, s: 1.0 / (p * q)):
             with pytest.raises(DomainError, match="shape"):
@@ -241,7 +241,7 @@ class TestInvert3D:
     def test_slabs_equal_one_full_grid_call(self, name, m, monkeypatch):
         """Slab-by-slab evaluation is bit-identical to one (2m)^3 call.
 
-        At m = 24 the default slab of _BLOCK // 48^2 = 28 x-nodes does not
+        At m = 24 the default slab of _SLAB // 48^2 = 7 x-nodes does not
         divide the 48 nodes; the 5-node slabs leave a remainder at both m.
         """
         F = {
@@ -253,17 +253,17 @@ class TestInvert3D:
         cfg = InversionConfig(nodes=m)
         n = 2 * m
         if m == 24:
-            assert n % (_BLOCK // n ** 2) != 0
+            assert n % (_SLAB // n ** 2) != 0
         points = [(0.75, 0.5, 1.0), (0.25, 1.0, 0.5)]
         px, qy, st = (_talbot_nodes(u, m, 1.0)[0] for u in points[0])
         full = F(px[:, None, None], qy[None, :, None], st[None, None, :])
         assert np.all(np.isfinite(full))
         assert np.array_equal(_eval_grid(F, (px, qy, st)), full)
         sliced = [invert_3d(F, pt, cfg) for pt in points]
-        monkeypatch.setattr(inverse, "_BLOCK", 5 * n * n)
+        monkeypatch.setattr(inverse, "_SLAB", 5 * n * n)
         assert np.array_equal(_eval_grid(F, (px, qy, st)), full)
         assert [invert_3d(F, pt, cfg) for pt in points] == sliced
-        monkeypatch.setattr(inverse, "_BLOCK", n ** 3)
+        monkeypatch.setattr(inverse, "_SLAB", n ** 3)
         assert [invert_3d(F, pt, cfg) for pt in points] == sliced
 
     def test_talbot_nodes_are_cached_and_read_only(self):
