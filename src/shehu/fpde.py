@@ -359,6 +359,13 @@ def reconstruct(
     violation for one, stops the remaining nodes and is raised; when
     several nodes raise, the one with the lowest (ix, iy, it) index is.
 
+    Each node's ``invert_3d`` calls ``F.evaluator`` on the first half of
+    its x-contour nodes by the full (q, s) contours, plus one check slab;
+    the other half is filled by conjugation.  The evaluator must therefore
+    satisfy F(conj p, conj q, conj s) = conj F(p, q, s), as the transform
+    of a real-valued solution does; one that does not leaves its nodes NaN
+    with a ``ContourError`` reason.
+
     Nodes are independent ``invert_3d`` calls.  They run on the calling
     thread plus one helper thread per further CPU in
     ``os.sched_getaffinity(0)`` (at most one thread per node, and only the

@@ -19,7 +19,12 @@ One engine serves one and three axes with either method: it takes the
 tensor product of the per-axis rules, calls ``F`` on node arrays, which it
 must broadcast over, one slab of first-axis nodes at a time, and contracts
 the grid with the weights in one sum.  The originals are assumed
-real-valued: ``invert_1d`` and ``invert_3d`` return the real part.
+real-valued: ``invert_1d`` and ``invert_3d`` return the real part.  A
+real original's transform has F(conj s) = conj F(s), and the contour
+nodes come in exact conjugate pairs, so these two call ``F`` on the first
+half of the first axis' contour nodes only, fill the other half of the
+grid by conjugation, and check one further slab against the fill
+(``ContourError`` when ``F`` lacks that symmetry).
 """
 
 from __future__ import annotations
@@ -70,10 +75,14 @@ class InversionConfig:
         object.__setattr__(self, "method", method)
         if method not in ("talbot", "stehfest"):
             raise ValueError(f"unknown inversion method {self.method!r}")
+        if not isinstance(self.nodes, (int, np.integer)):
+            raise ValueError(f"nodes must be an integer, got {self.nodes!r}")
         if self.nodes < 8:
             raise ValueError("inversion needs at least 8 nodes per axis")
-        if self.contour_scale <= 0.0:
-            raise ValueError("contour_scale must be positive")
+        if not 0.0 < self.contour_scale < math.inf:
+            raise ValueError(
+                f"contour_scale must be finite and positive, got {self.contour_scale!r}"
+            )
 
 
 DEFAULT_INVERSION = InversionConfig()
@@ -84,20 +93,24 @@ def _talbot_nodes(point: float, m: int, scale: float):
     """Contour nodes s_k and weights w_k with f(u) = sum w_k exp(s_k u) F(s_k).
 
     Midpoint sampling of theta in (-pi, pi) avoids both endpoints, where
-    cot(theta) blows up, and theta = 0; 2m nodes total.  Cached and
-    read-only: a grid reuses each axis value's contour.
+    cot(theta) blows up, and theta = 0; 2m nodes total.  Only the m nodes
+    with theta < 0 are computed: node 2m-1-k, at -theta_k, is the exact
+    conjugate of node k, and so is its weight, which ``_eval_grid``'s
+    mirrored half grid relies on.  Cached and read-only: a grid reuses each
+    axis value's contour.
     """
     r0 = TALBOT_RT * scale / point
     nodes = []
     weights = []
-    for k in range(2 * m):
+    for k in range(m):
         theta = -math.pi + (k + 0.5) * math.pi / m
         cot = math.cos(theta) / math.sin(theta)
         nodes.append(r0 * theta * complex(cot, 1.0))
         ds = r0 * complex(cot - theta * (1.0 + cot * cot), 1.0)
         # trapezoid step pi/m over theta, divided by 2*pi*i
         weights.append(ds * (math.pi / m) / (2.0j * math.pi))
-    nodes, weights = np.asarray(nodes), np.asarray(weights)
+    nodes, weights = (np.concatenate([a, np.conjugate(a[::-1])])
+                      for a in (np.asarray(nodes), np.asarray(weights)))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -134,10 +147,15 @@ def _axis_rule(u: float, n: int, cfg: InversionConfig):
     return s, w * np.exp(s * u)
 
 
-def _invert(F: Callable, point: tuple[float, ...], cfg: InversionConfig) -> complex:
+def _invert(
+    F: Callable, point: tuple[float, ...], cfg: InversionConfig, real: bool = False
+) -> complex:
     """Tensor-product inversion sum at ``point``, one axis per coordinate.
 
     The real-node method sums the real part of ``F``, so its result is real.
+    With ``real`` (only the real part of the sum is wanted) the contour
+    method evaluates ``F`` on the mirrored half grid; the imaginary part is
+    then that of a conjugate-symmetric ``F``, not ``F``'s own.
     """
     if not all(0.0 < u < math.inf for u in point):
         raise ValueError(f"inversion point must be finite and positive, got {point}")
@@ -153,7 +171,7 @@ def _invert(F: Callable, point: tuple[float, ...], cfg: InversionConfig) -> comp
     if n ** d > cfg.eval_budget:
         raise CostBudgetError(f"{n ** d} evaluations exceed budget {cfg.eval_budget}")
     nodes, weights = zip(*(_axis_rule(u, n, cfg) for u in point))
-    vals = _eval_grid(F, nodes)
+    vals = _eval_grid(F, nodes, mirror=real and cfg.method == "talbot")
     if cfg.method == "stehfest":
         vals = vals.real
     axes = "ijk"[:d]
@@ -168,8 +186,9 @@ def invert_1d_complex(
     """``invert_1d`` returning the full complex sum.
 
     The imaginary part of the contour sum measures how far ``F`` departs
-    from the conjugate symmetry of transforms of real-valued functions;
-    the real-node sum is real.
+    from the conjugate symmetry of transforms of real-valued functions, so
+    ``F`` is evaluated on every contour node (no mirrored half grid) and
+    need not have that symmetry; the real-node sum is real.
     """
     return _invert(F, (point,), cfg)
 
@@ -181,19 +200,24 @@ def invert_1d(
 ) -> float:
     """Invert a single-axis transform at ``point`` > 0.
 
-    ``F`` is called once, on the array of all nodes of ``cfg``'s rule (the
-    2*nodes contour nodes, or the real nodes), and must return values of
-    that shape; wrap a scalar-only callable with ``np.frompyfunc(F, 1, 1)``.
-    Fractional powers inside ``F`` must use the principal branch; for
-    transforms of real-valued originals the imaginary residue of the
-    contour sum is at the rounding floor and is discarded here.
+    ``F`` is called on node arrays and must return values of their shape;
+    wrap a scalar-only callable with ``np.frompyfunc(F, 1, 1)``.  With the
+    real-node method it is called once, on all the real nodes.  With the
+    contour method it is called on the first ``nodes`` of the 2*nodes
+    contour nodes, and once more on the last node, which checks the
+    conjugate symmetry F(conj s) = conj F(s) of a transform of a
+    real-valued original: the other half is filled by conjugation.  Use
+    ``invert_1d_complex`` for an ``F`` without that symmetry.  Fractional
+    powers inside ``F`` must use the principal branch; the imaginary
+    residue of the contour sum is discarded here.
 
     Raises:
         ValueError: when ``point`` is not finite and positive.
-        ContourError: when ``F`` returns non-finite values.
+        ContourError: when ``F`` returns non-finite values, or values that
+            are not conjugate-symmetric.
         DomainError: when ``F`` returns values of another shape.
     """
-    return _invert(F, (point,), cfg).real
+    return _invert(F, (point,), cfg, real=True).real
 
 
 def invert_3d(
@@ -203,15 +227,18 @@ def invert_3d(
 ) -> float:
     """Tensor-product inversion of a triple transform at (x, y, t) > 0.
 
-    Cost is (2*nodes)^3 evaluations of ``F`` per point with the default
-    contour method; a budget guard fails fast instead of hanging.  ``F``
-    must broadcast: it is called once per slab of consecutive x-nodes, with
+    The contour sum runs over (2*nodes)^3 grid nodes per point; a budget
+    guard on that count fails fast instead of hanging.  ``F`` must
+    broadcast: it is called once per slab of consecutive x-nodes, with
     node arrays of shapes (k, 1, 1), (1, n, 1) and (1, 1, n), and must
-    return the (k, n, n) values; each node is evaluated once, and a slab
-    holds at most ``_SLAB`` values (at least one x-node).  Wrap a
-    scalar-only callable (for example with ``np.frompyfunc``) to evaluate
-    it node by node.  The original is assumed real-valued: the imaginary
-    part of the contour sum is discarded, as in ``invert_1d``.
+    return the (k, n, n) values; a slab holds at most ``_SLAB`` values (at
+    least one x-node).  Wrap a scalar-only callable (for example with
+    ``np.frompyfunc``) to evaluate it node by node.  The original is
+    assumed real-valued, so F(conj p, conj q, conj s) = conj F(p, q, s):
+    with the contour method ``F`` is called on the first half of the
+    x-nodes, the other half is filled by conjugation, and one further
+    slab, the last x-node, checks that symmetry.  The imaginary part of the
+    contour sum is discarded, as in ``invert_1d``.
 
     The contour sum cancels far more than in 1-D: each axis factor
     exp(s u) reaches exp(TALBOT_RT), so the largest term is up to
@@ -223,10 +250,11 @@ def invert_3d(
     Raises:
         ValueError: when a coordinate is not finite and positive.
         CostBudgetError: when the node budget is exceeded.
-        ContourError: on non-finite evaluations.
+        ContourError: on non-finite evaluations, or on values that are not
+            conjugate-symmetric.
         DomainError: when ``F`` returns values of another shape.
     """
-    return _invert(F, point, cfg).real
+    return _invert(F, point, cfg, real=True).real
 
 
 #: Most values in one slab of ``_eval_grid``.  ``fpde.reconstruct`` inverts
@@ -237,7 +265,18 @@ def invert_3d(
 _SLAB = 2 ** 14
 
 
-def _eval_grid(F, axes) -> np.ndarray:
+#: Largest departure from conjugate symmetry, relative to the largest value
+#: of the checked slab, that the mirrored half grid accepts.  The package's
+#: evaluators (rational terms and principal-branch powers) treat s and
+#: conj(s) alike and meet it with no difference at all.  The margin of a
+#: few hundred rounding units admits an evaluator that rounds s and conj(s)
+#: differently; filling its values by conjugation errs by about as much as
+#: its own rounding, while the transform of a complex-valued original
+#: departs by far more.
+_MIRROR_RTOL = 1e-13
+
+
+def _eval_grid(F, axes, mirror: bool = False) -> np.ndarray:
     """F on the product grid of its node arrays, one slab of first-axis
     nodes at a time.
 
@@ -246,20 +285,48 @@ def _eval_grid(F, axes) -> np.ndarray:
     temporaries stay cache-sized; an elementwise F gives the same grid, bit
     for bit, as one broadcast call.  Finiteness is checked before shape, so
     a non-finite scalar is a ContourError.
+
+    With ``mirror`` every axis lists its nodes as conjugate pairs, node
+    n-1-j the conjugate of node j (``_talbot_nodes``), and F must satisfy
+    F(conj s) = conj F(s), as the transform of a real original does.  F is
+    then called on the first half of the first-axis nodes only, the other
+    half is filled with the conjugates of the point-reflected values, and
+    one more slab, the last first-axis node, is evaluated and compared
+    with its filled values; a departure beyond ``_MIRROR_RTOL`` raises
+    ContourError.  For such an F the grid equals the full evaluation bit
+    for bit.
     """
     shape = tuple(len(a) for a in axes)
     vals = np.empty(shape, dtype=complex)
     rows = max(1, _SLAB // math.prod(shape[1:]))
     first, *rest = np.ix_(*axes)
-    for lo in range(0, shape[0], rows):
-        slab = np.asarray(F(first[lo:lo + rows], *rest), dtype=complex)
-        want = (min(rows, shape[0] - lo),) + shape[1:]
-        if not np.all(np.isfinite(slab)):
-            raise ContourError(f"non-finite transform value on the {want} node grid")
-        if slab.shape != want:
-            raise DomainError(
-                f"transform returned shape {slab.shape} on the {want} node grid; "
-                "it must broadcast over its arguments"
+    stop = shape[0] // 2 if mirror else shape[0]
+    for lo in range(0, stop, rows):
+        hi = min(lo + rows, stop)
+        vals[lo:hi] = _eval_slab(F, first[lo:hi], rest)
+    if mirror:
+        np.conjugate(vals[:stop][(slice(None, None, -1),) * len(shape)],
+                     out=vals[stop:])
+        check, filled = _eval_slab(F, first[-1:], rest), vals[-1:]
+        gap, scale = np.max(np.abs(check - filled)), np.max(np.abs(filled))
+        if not gap <= _MIRROR_RTOL * scale:
+            raise ContourError(
+                f"transform is not conjugate-symmetric on the {check.shape} node "
+                f"grid: F(conj s) departs from conj F(s) by {gap:.3g} against "
+                f"values up to {scale:.3g}, so its original is not real-valued"
             )
-        vals[lo:lo + rows] = slab
     return vals
+
+
+def _eval_slab(F, first, rest) -> np.ndarray:
+    """F on one slab: first-axis nodes ``first`` by the full other axes."""
+    slab = np.asarray(F(first, *rest), dtype=complex)
+    want = (len(first),) + tuple(a.size for a in rest)
+    if not np.all(np.isfinite(slab)):
+        raise ContourError(f"non-finite transform value on the {want} node grid")
+    if slab.shape != want:
+        raise DomainError(
+            f"transform returned shape {slab.shape} on the {want} node grid; "
+            "it must broadcast over its arguments"
+        )
+    return slab

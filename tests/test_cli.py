@@ -208,6 +208,18 @@ class TestConfig:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "heat", "--mode", "reconstruct", "--grid-n", "2"),
+        ("invert", "--pair", "one-over-s-plus-1", "--points", "1"),
+    ])
+    def test_nonfinite_contour_scale_refused(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("contour_scale = nan\n")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: contour_scale must be finite and positive")
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "--config", "/nonexistent/x.cfg",
                            "verify", "--suite", "roundtrip")

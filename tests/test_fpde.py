@@ -244,7 +244,9 @@ class TestReconstructAndGrid:
         threads, so the recorded slabs are grouped by contour: each point
         sees contiguous slabs of its x-nodes in contour order, no x-node is
         evaluated twice, x = 0.5 stops at its first singular slab, and
-        x = 1.0 covers all 64 rows.  The node records why it is NaN.
+        x = 1.0 covers the first half of its 64 rows, the half that the
+        conjugate fill mirrors, then the last row, which checks the fill.
+        The node records why it is NaN.
         """
         slabs = []
 
@@ -268,13 +270,23 @@ class TestReconstructAndGrid:
         of_half = [p for p in slabs if np.isin(p[0], half)]
         of_one = [p for p in slabs if np.isin(p[0], one)]
         assert len(of_half) + len(of_one) == len(slabs)
-        assert np.array_equal(np.concatenate(of_one), one)
+        assert np.array_equal(np.concatenate(of_one), np.r_[one[:32], one[-1]])
+        assert len(of_one[-1]) == 1
         seen = np.concatenate(of_half)
         k = len(seen)  # x-nodes evaluated for x = 0.5 before it failed
         assert 0 < k < 64
         assert np.array_equal(seen, half[:k])
         assert [np.max(np.real(p)) > 12.0 for p in of_half] == (
             [False] * (len(of_half) - 1) + [True])
+
+    def test_complex_original_becomes_nan_with_its_reason(self):
+        """The conjugate-symmetry check fails every node of 1/((p-i)(q+1)(s+1))."""
+        F = TransformSolution(lambda p, q, s: 1.0 / ((p - 1j) * (q + 1.0) * (s + 1.0)), ())
+        fld = reconstruct(F, (0.5, 1.0), (0.8,), (0.4, 1.2), InversionConfig(nodes=16))
+        assert fld.nonfinite_count == 4
+        assert list(fld.nan_reasons) == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
+        assert all(r.startswith("ContourError: transform is not conjugate-symmetric")
+                   for r in fld.nan_reasons.values())
 
     def test_positive_grid_required(self):
         F = TransformSolution(lambda p, q, s: 1.0 / (p * q * s), ())
@@ -374,19 +386,21 @@ class TestReconstructThreads:
     def test_every_node_evaluated_once_under_fast_switching(self, monkeypatch):
         """Eight threads on a 120-node grid, switching every microsecond.
 
-        At 8 nodes a point's 16^3 contour grid is one slab, so the first
-        node of each axis contour names the point an evaluator call
-        belongs to.
+        At 8 nodes a point evaluates the first 8 x-nodes of its 16^3
+        contour grid in one slab and the last x-node in one check slab, so
+        the first node of each axis contour (the last one for the check
+        slab's x) names the point an evaluator call belongs to.
         """
         xs, ys, ts = (0.3, 0.5, 0.7, 0.9, 1.1, 1.3), (0.4, 0.8, 1.2, 1.6, 2.0), (
             0.5, 1.0, 1.5, 2.0)
         cfg = InversionConfig(nodes=8)
-        first = [{_talbot_nodes(u, 8, 1.0)[0][0]: u for u in axis}
+        first = [{_talbot_nodes(u, 8, 1.0)[0][k]: u for u in axis for k in (0, -1)}
                  for axis in (xs, ys, ts)]
         seen = []
 
         def evaluator(p, q, s):
-            seen.append(tuple(f[a.flat[0]] for f, a in zip(first, (p, q, s))))
+            point = tuple(f[a.flat[0]] for f, a in zip(first, (p, q, s)))
+            seen.append((point, p.size))
             return _separable(p, q, s)
 
         F = TransformSolution(evaluator, ())
@@ -397,16 +411,19 @@ class TestReconstructThreads:
             fld = reconstruct(F, xs, ys, ts, cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(seen) == list(itertools.product(xs, ys, ts))
+        points = list(itertools.product(xs, ys, ts))
+        assert sorted(seen) == sorted([(pt, 8) for pt in points]
+                                      + [(pt, 1) for pt in points])
         values, _ = _serial_reconstruct(TransformSolution(_separable, ()), xs, ys, ts, cfg)
         assert np.array_equal(fld.values, values)
 
     def test_error_at_lowest_node_is_raised_after_join(self, monkeypatch):
         """Every node with x >= 0.75 raises; the caller gets node (1, 0, 0)'s.
 
-        At 8 nodes a point is one slab, named by its first contour nodes.
+        At 8 nodes a point is one half-grid slab and one check slab, named
+        by its first contour nodes (the last x-node for the check slab).
         """
-        first_x = {_talbot_nodes(x, 8, 1.0)[0][0]: x for x in self.XS}
+        first_x = {_talbot_nodes(x, 8, 1.0)[0][k]: x for x in self.XS for k in (0, -1)}
         first_t = {_talbot_nodes(t, 8, 1.0)[0][0]: t for t in self.TS}
 
         def evaluator(p, q, s):
@@ -487,4 +504,5 @@ class TestReconstructThreads:
                         InversionConfig(nodes=8))
         finally:
             var.reset(token)
-        assert seen == ["caller"] * (len(self.XS) * len(self.YS) * len(self.TS))
+        # each node makes one half-grid call and one check call
+        assert seen == ["caller"] * (2 * len(self.XS) * len(self.YS) * len(self.TS))

@@ -18,6 +18,7 @@ from shehu.funclib import get_field
 from shehu.inverse import (
     _SLAB,
     InversionConfig,
+    _axis_rule,
     _eval_grid,
     _stehfest_weights,
     _talbot_nodes,
@@ -69,6 +70,14 @@ class TestConfig:
             InversionConfig(nodes=4)
         with pytest.raises(ValueError):
             InversionConfig(method="bromwich")
+
+    @pytest.mark.parametrize("field, value", [
+        ("contour_scale", math.nan), ("contour_scale", math.inf),
+        ("contour_scale", 0.0), ("nodes", 24.5), ("nodes", 24.0),
+    ])
+    def test_nonfinite_scale_and_fractional_nodes_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            InversionConfig(**{field: value})
 
     def test_method_aliases(self):
         assert InversionConfig(method="deformed-contour").method == "talbot"
@@ -297,3 +306,104 @@ class TestInvert3D:
         F = lambda p, q, s: 1.0 / (p * q * s)
         got = invert_3d(F, (1.0, 1.0, 1.0), InversionConfig(method="stehfest", nodes=12))
         assert_allclose(got, 1.0, rtol=1e-4)
+
+
+MIRRORED_3D = {
+    **{f"heat-{g}": heat_transform_solution(HeatSpec(gamma=g)).evaluator
+       for g in (0.35, 0.7, 1.0)},
+    "telegraph-0.9": telegraph_transform_solution(
+        TelegraphSpec(gamma=0.9, alpha=0.5, beta=1.0)).evaluator,
+    "telegraph-0.4": telegraph_transform_solution(
+        TelegraphSpec(gamma=0.4, alpha=1.3, beta=1.8)).evaluator,
+    "separable": lambda p, q, s: 1.0 / ((p + 0.5) * (q + 1.5) * (s + 1.0)),
+}
+
+
+class TestMirroredHalfGrid:
+    """A real original's transform is evaluated on half of the contour grid."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.6, 2.5])
+    @pytest.mark.parametrize("m", [8, 16, 24, 32])
+    @pytest.mark.parametrize("u", [0.2, 0.8, 1.7, 4.0])
+    def test_nodes_and_weights_are_exact_conjugate_mirrors(self, u, m, scale):
+        nodes, weights = _talbot_nodes(u, m, scale)
+        rule = _axis_rule(u, 2 * m, InversionConfig(nodes=m, contour_scale=scale))
+        assert len(nodes) == 2 * m
+        for arr in (nodes, weights) + rule:
+            assert np.array_equal(arr[::-1], np.conjugate(arr))
+        assert np.all(nodes[:m].imag < 0.0)
+
+    @pytest.mark.parametrize("m", [24, 32])
+    @pytest.mark.parametrize("name", list(MIRRORED_3D))
+    def test_half_grid_equals_one_full_grid_call(self, name, m, monkeypatch):
+        """The conjugate fill reproduces one full-grid call bit for bit.
+
+        F is called on the first m x-nodes in slabs and on the last x-node
+        once, and ``invert_3d`` returns the full-grid einsum's real part.
+        """
+        F = MIRRORED_3D[name]
+        n = 2 * m
+        point = (0.75, 0.5, 1.0)
+        rules = [_axis_rule(u, n, InversionConfig(nodes=m)) for u in point]
+        axes = [r[0] for r in rules]
+        calls = []
+
+        def counted(p, q, s):
+            calls.append(p[:, 0, 0])
+            return F(p, q, s)
+
+        half = _eval_grid(counted, axes, mirror=True)
+        assert np.array_equal(np.concatenate(calls), np.r_[axes[0][:m], axes[0][-1]])
+        got = invert_3d(F, point, InversionConfig(nodes=m))
+        monkeypatch.setattr(inverse, "_SLAB", n ** 3)
+        full = _eval_grid(F, axes)
+        assert np.all(np.isfinite(full))
+        assert np.array_equal(half, full)
+        assert got == np.einsum("i,j,k,ijk->", *(r[1] for r in rules), full).real
+
+    @pytest.mark.parametrize("m", [24, 32])
+    def test_half_grid_equals_full_grid_in_1d(self, m):
+        """The 1-D ML pair, half-evaluated, against its full evaluation."""
+        F = ML_PAIR[1]
+        for t in (0.3, 1.0, 4.0):
+            nodes, weights = _axis_rule(t, 2 * m, InversionConfig(nodes=m))
+            full = _eval_grid(F, (nodes,))
+            assert np.array_equal(_eval_grid(F, (nodes,), mirror=True), full)
+            assert invert_1d(F, t, InversionConfig(nodes=m)) == np.einsum("i,i->", weights, full).real
+
+
+class TestConjugateSymmetryCheck:
+    """An F without F(conj s) = conj F(s) fails fast instead of half-summed."""
+
+    def test_complex_original_is_refused_in_3d(self):
+        F = lambda p, q, s: 1.0 / ((p - 1j) * (q + 1.0) * (s + 1.0))
+        with pytest.raises(ContourError, match="not conjugate-symmetric"):
+            invert_3d(F, (1.0, 0.5, 0.8))
+
+    def test_complex_original_is_refused_in_1d(self):
+        with pytest.raises(ContourError, match="not conjugate-symmetric"):
+            invert_1d(lambda s: 1.0 / (s - 1j), 1.0)
+
+    def test_complex_sum_still_evaluates_every_node(self):
+        """e^(it) <-> 1/(s - i): the imaginary part needs the full contour."""
+        calls = []
+
+        def F(s):
+            calls.append(len(s))
+            return 1.0 / (s - 1j)
+
+        for t in (0.3, 1.0, 2.2):
+            assert abs(invert_1d_complex(F, t) - cmath.exp(1j * t)) <= 1e-10
+        assert calls == [2 * CFG.nodes] * 3
+
+    @pytest.mark.parametrize("departure, refused", [(1e-15, False), (1e-9, True)])
+    def test_tolerance_is_relative_to_the_checked_values(self, departure, refused):
+        """Rounding-sized asymmetry passes; a larger one is refused."""
+        def F(s):
+            return (1.0 + departure * 1j * (s.imag > 0)) / (s + 1.0)
+
+        if refused:
+            with pytest.raises(ContourError, match="not conjugate-symmetric"):
+                invert_1d(F, 1.0)
+        else:
+            assert_allclose(invert_1d(F, 1.0), math.exp(-1.0), rtol=1e-10)
