@@ -97,7 +97,7 @@ def _quad_config(args) -> QuadratureConfig:
 def _inv_config(args) -> InversionConfig:
     return InversionConfig(
         method=_merged(args, "method", "talbot"),
-        nodes=max(8, int(_merged(args, "nodes", 32))),
+        nodes=_merged(args, "nodes", 32),
         contour_scale=_merged(args, "contour_scale", 1.0),
     )
 

@@ -360,11 +360,12 @@ def reconstruct(
     several nodes raise, the one with the lowest (ix, iy, it) index is.
 
     Each node's ``invert_3d`` calls ``F.evaluator`` on the first half of
-    its x-contour nodes by the full (q, s) contours, plus one check slab;
-    the other half is filled by conjugation.  The evaluator must therefore
-    satisfy F(conj p, conj q, conj s) = conj F(p, q, s), as the transform
-    of a real-valued solution does; one that does not leaves its nodes NaN
-    with a ``ContourError`` reason.
+    its x-contour nodes by the full (q, s) contours, plus one check slab,
+    and sums each slab at once to one value per x-node, so no node keeps
+    its value grid; the other half of those sums is filled by conjugation.
+    The evaluator must therefore satisfy F(conj p, conj q, conj s) =
+    conj F(p, q, s), as the transform of a real-valued solution does; one
+    that does not leaves its nodes NaN with a ``ContourError`` reason.
 
     Nodes are independent ``invert_3d`` calls.  They run on the calling
     thread plus one helper thread per further CPU in

@@ -17,14 +17,13 @@ callables that can only be evaluated at real ratios.
 
 One engine serves one and three axes with either method: it takes the
 tensor product of the per-axis rules, calls ``F`` on node arrays, which it
-must broadcast over, one slab of first-axis nodes at a time, and contracts
-the grid with the weights in one sum.  The originals are assumed
-real-valued: ``invert_1d`` and ``invert_3d`` return the real part.  A
-real original's transform has F(conj s) = conj F(s), and the contour
+must broadcast over, one slab of first-axis nodes at a time, and reduces
+each slab at once to one sum per first-axis node.  The originals are
+assumed real-valued: ``invert_1d`` and ``invert_3d`` return the real part.
+A real original's transform has F(conj s) = conj F(s) and the contour
 nodes come in exact conjugate pairs, so these two call ``F`` on the first
-half of the first axis' contour nodes only, fill the other half of the
-grid by conjugation, and check one further slab against the fill
-(``ContourError`` when ``F`` lacks that symmetry).
+half of the first axis' nodes only, fill the other half of the sums by
+conjugation, and check one more slab (``ContourError`` without symmetry).
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ class InversionConfig:
         if not isinstance(self.nodes, (int, np.integer)):
             raise ValueError(f"nodes must be an integer, got {self.nodes!r}")
         if self.nodes < 8:
-            raise ValueError("inversion needs at least 8 nodes per axis")
+            raise ValueError(f"nodes must be at least 8 per axis, got {self.nodes}")
         if not 0.0 < self.contour_scale < math.inf:
             raise ValueError(
                 f"contour_scale must be finite and positive, got {self.contour_scale!r}"
@@ -95,8 +94,8 @@ def _talbot_nodes(point: float, m: int, scale: float):
     Midpoint sampling of theta in (-pi, pi) avoids both endpoints, where
     cot(theta) blows up, and theta = 0; 2m nodes total.  Only the m nodes
     with theta < 0 are computed: node 2m-1-k, at -theta_k, is the exact
-    conjugate of node k, and so is its weight, which ``_eval_grid``'s
-    mirrored half grid relies on.  Cached and read-only: a grid reuses each
+    conjugate of node k, and so is its weight, which ``_row_sums``'
+    mirrored half relies on.  Cached and read-only: a grid reuses each
     axis value's contour.
     """
     r0 = TALBOT_RT * scale / point
@@ -150,16 +149,17 @@ def _axis_rule(u: float, n: int, cfg: InversionConfig):
 def _invert(
     F: Callable, point: tuple[float, ...], cfg: InversionConfig, real: bool = False
 ) -> complex:
-    """Tensor-product inversion sum at ``point``, one axis per coordinate.
+    """Tensor-product inversion sum_i c_i r_i at ``point`` (one axis per
+    coordinate) of the first axis' weights and ``_row_sums``.
 
     The real-node method sums the real part of ``F``, so its result is real.
-    With ``real`` (only the real part of the sum is wanted) the contour
-    method evaluates ``F`` on the mirrored half grid; the imaginary part is
-    then that of a conjugate-symmetric ``F``, not ``F``'s own.
+    With ``real`` the contour method calls ``F`` on the mirrored half of the
+    first axis; the imaginary part is then that of a conjugate-symmetric F.
     """
     if not all(0.0 < u < math.inf for u in point):
         raise ValueError(f"inversion point must be finite and positive, got {point}")
     d = len(point)
+    mirror = real and cfg.method == "talbot"
     if cfg.method == "stehfest":
         # nested real-node weights multiply, so the 1-D cancellation budget
         # is raised to the power d; beyond 8 nodes per axis the 3-D tensor
@@ -168,14 +168,14 @@ def _invert(
         n -= n % 2
     else:
         n = 2 * cfg.nodes
-    if n ** d > cfg.eval_budget:
-        raise CostBudgetError(f"{n ** d} evaluations exceed budget {cfg.eval_budget}")
+    evals = (n // 2 + 1 if mirror else n) * n ** (d - 1)  # points F is called on
+    if evals > cfg.eval_budget:
+        raise CostBudgetError(f"{evals} transform evaluations exceed budget {cfg.eval_budget}")
     nodes, weights = zip(*(_axis_rule(u, n, cfg) for u in point))
-    vals = _eval_grid(F, nodes, mirror=real and cfg.method == "talbot")
-    if cfg.method == "stehfest":
-        vals = vals.real
-    axes = "ijk"[:d]
-    return complex(np.einsum(f"{','.join(axes)},{axes}->", *weights, vals))
+    rows = _row_sums(F, nodes, weights[1:], mirror, cfg.method == "stehfest")
+    # in node order on Python numbers, whose complex product, unlike numpy's,
+    # is never fused (FMA): what a scalar loop over the nodes gives
+    return complex(sum(c * r for c, r in zip(weights[0].tolist(), rows.tolist())))
 
 
 def invert_1d_complex(
@@ -227,29 +227,28 @@ def invert_3d(
 ) -> float:
     """Tensor-product inversion of a triple transform at (x, y, t) > 0.
 
-    The contour sum runs over (2*nodes)^3 grid nodes per point; a budget
-    guard on that count fails fast instead of hanging.  ``F`` must
-    broadcast: it is called once per slab of consecutive x-nodes, with
-    node arrays of shapes (k, 1, 1), (1, n, 1) and (1, 1, n), and must
-    return the (k, n, n) values; a slab holds at most ``_SLAB`` values (at
-    least one x-node).  Wrap a scalar-only callable (for example with
-    ``np.frompyfunc``) to evaluate it node by node.  The original is
+    ``F`` must broadcast: it is called once per slab of consecutive
+    x-nodes, with node arrays of shapes (k, 1, 1), (1, n, 1) and (1, 1, n),
+    and must return the (k, n, n) values; a slab holds at most ``_SLAB``
+    values (at least one x-node).  Wrap a scalar-only callable (for example
+    with ``np.frompyfunc``) to evaluate it node by node.  The original is
     assumed real-valued, so F(conj p, conj q, conj s) = conj F(p, q, s):
     with the contour method ``F`` is called on the first half of the
-    x-nodes, the other half is filled by conjugation, and one further
-    slab, the last x-node, checks that symmetry.  The imaginary part of the
-    contour sum is discarded, as in ``invert_1d``.
+    x-nodes and on the last one, which checks that symmetry, or
+    (nodes+1)*(2*nodes)^2 points, and the other half's sums are filled by
+    conjugation.  A budget guard on the points evaluated fails fast.  The
+    imaginary part of the contour sum is discarded, as in ``invert_1d``.
 
     The contour sum cancels far more than in 1-D: each axis factor
     exp(s u) reaches exp(TALBOT_RT), so the largest term is up to
     exp(3*TALBOT_RT) (about 5e11) times the original's scale, and the
     rounding floor is about eps times that term, not the 1-D 1e-12.  The
-    sum is therefore taken in one fixed order; reordering it moves the
-    result at that floor.
+    sum is therefore taken in one fixed order, pairwise over t and then y
+    per x-node, then over x in node order; reordering it moves the result.
 
     Raises:
         ValueError: when a coordinate is not finite and positive.
-        CostBudgetError: when the node budget is exceeded.
+        CostBudgetError: when the evaluation budget is exceeded.
         ContourError: on non-finite evaluations, or on values that are not
             conjugate-symmetric.
         DomainError: when ``F`` returns values of another shape.
@@ -257,16 +256,16 @@ def invert_3d(
     return _invert(F, point, cfg, real=True).real
 
 
-#: Most values in one slab of ``_eval_grid``.  ``fpde.reconstruct`` inverts
-#: nodes on several threads, and each thread's malloc arena keeps its freed
-#: slabs resident: 2**16-value slabs raised the ``reconstruct`` benchmark's
-#: peak RSS by 7-10%, while 2**13 made a pass slower than one thread (2.48
-#: against 1.90 s), because the per-slab Python work holds the GIL (2 vCPU).
+#: Most values in one slab of ``_row_sums``; it never changes a result.
+#: ``fpde.reconstruct`` inverts nodes on several threads, whose malloc arenas
+#: keep freed slabs resident: 2**16 values raised the ``reconstruct``
+#: benchmark's peak RSS by 7-10%, while 2**13 made a pass slower than one
+#: thread (2.48 against 1.90 s, 2 vCPU): per-slab Python work holds the GIL.
 _SLAB = 2 ** 14
 
 
 #: Largest departure from conjugate symmetry, relative to the largest value
-#: of the checked slab, that the mirrored half grid accepts.  The package's
+#: of the checked slab, that the mirrored half accepts.  The package's
 #: evaluators (rational terms and principal-branch powers) treat s and
 #: conj(s) alike and meet it with no difference at all.  The margin of a
 #: few hundred rounding units admits an evaluator that rounds s and conj(s)
@@ -276,38 +275,39 @@ _SLAB = 2 ** 14
 _MIRROR_RTOL = 1e-13
 
 
-def _eval_grid(F, axes, mirror: bool = False) -> np.ndarray:
-    """F on the product grid of its node arrays, one slab of first-axis
-    nodes at a time.
+def _row_sums(F, axes, inner, mirror: bool, real_part: bool) -> np.ndarray:
+    """r_i = sum_j cy_j sum_k ct_k F(x_i, y_j, t_k) per first-axis node x_i,
+    for the ``inner`` weights (cy, ct) of the other axes.
 
-    ``np.ix_`` puts axis k's nodes along dimension k.  A slab holds at most
-    _SLAB values (at least one first-axis node), so the evaluator's
-    temporaries stay cache-sized; an elementwise F gives the same grid, bit
-    for bit, as one broadcast call.  Finiteness is checked before shape, so
-    a non-finite scalar is a ContourError.
+    ``np.ix_`` puts axis k's nodes along dimension k.  F is called on slabs
+    of at most _SLAB values (at least one first-axis node), so its
+    temporaries stay cache-sized; each slab (its real part with
+    ``real_part``) is reduced at once, by a multiply and a pairwise ``sum``
+    along the last axis per axis, and dropped.  Each r_i is reduced on its
+    own: the same bits for any slab size or thread, with no BLAS call.
 
-    With ``mirror`` every axis lists its nodes as conjugate pairs, node
-    n-1-j the conjugate of node j (``_talbot_nodes``), and F must satisfy
-    F(conj s) = conj F(s), as the transform of a real original does.  F is
-    then called on the first half of the first-axis nodes only, the other
-    half is filled with the conjugates of the point-reflected values, and
-    one more slab, the last first-axis node, is evaluated and compared
-    with its filled values; a departure beyond ``_MIRROR_RTOL`` raises
-    ContourError.  For such an F the grid equals the full evaluation bit
-    for bit.
+    With ``mirror`` each axis' nodes and weights are conjugate pairs, node
+    n-1-j the conjugate of node j, and F(conj s) = conj F(s) must hold, so
+    r_{n-1-i} = conj(r_i): F is called on the first half of the first axis
+    only, and the rest of r is filled by conjugation.  One more slab, the
+    last first-axis node, is checked against the first node's values,
+    conjugated and point-reflected, to ``_MIRROR_RTOL``.
     """
-    shape = tuple(len(a) for a in axes)
-    vals = np.empty(shape, dtype=complex)
-    rows = max(1, _SLAB // math.prod(shape[1:]))
     first, *rest = np.ix_(*axes)
-    stop = shape[0] // 2 if mirror else shape[0]
+    rows = max(1, _SLAB // math.prod(len(a) for a in axes[1:]))
+    stop = len(first) // 2 if mirror else len(first)
+    r = np.empty(len(first), dtype=float if real_part else complex)
     for lo in range(0, stop, rows):
-        hi = min(lo + rows, stop)
-        vals[lo:hi] = _eval_slab(F, first[lo:hi], rest)
+        slab = _eval_slab(F, first[lo:min(lo + rows, stop)], rest)
+        if mirror and lo == 0:
+            filled = np.conjugate(slab[:1][(slice(None, None, -1),) * slab.ndim])
+        slab = slab.real if real_part else slab
+        for w in reversed(inner):
+            slab = (slab * w).sum(axis=-1)
+        r[lo:lo + len(slab)] = slab
     if mirror:
-        np.conjugate(vals[:stop][(slice(None, None, -1),) * len(shape)],
-                     out=vals[stop:])
-        check, filled = _eval_slab(F, first[-1:], rest), vals[-1:]
+        np.conjugate(r[:stop][::-1], out=r[stop:])
+        check = _eval_slab(F, first[-1:], rest)
         gap, scale = np.max(np.abs(check - filled)), np.max(np.abs(filled))
         if not gap <= _MIRROR_RTOL * scale:
             raise ContourError(
@@ -315,7 +315,7 @@ def _eval_grid(F, axes, mirror: bool = False) -> np.ndarray:
                 f"grid: F(conj s) departs from conj F(s) by {gap:.3g} against "
                 f"values up to {scale:.3g}, so its original is not real-valued"
             )
-    return vals
+    return r
 
 
 def _eval_slab(F, first, rest) -> np.ndarray:

@@ -76,12 +76,28 @@ class TestInvert:
         assert abs(float(row[1]) - 0.4275835761558073) <= 1e-6
 
     def test_insufficient_nodes_flagged(self, capsys):
+        """The fewest nodes accepted, 8, miss e^-1 far beyond the threshold."""
         code, out, err = run(
             capsys, "invert", "--pair", "one-over-s-plus-1",
-            "--points", "1", "--nodes", "4",
+            "--points", "1", "--nodes", "8",
         )
         assert code == 1
         assert "exceeds threshold" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("invert", "--pair", "one-over-s-plus-1", "--points", "1"),
+        ("solve", "heat", "--mode", "reconstruct", "--grid-n", "2"),
+    ])
+    @pytest.mark.parametrize("flag, config", [(("--nodes", "4"), ""),
+                                              ((), "nodes = 24.5\n")])
+    def test_nodes_are_passed_on_unchanged(self, tmp_path, capsys, argv, flag, config):
+        """Neither raised to 8 nor truncated: a bad node count is refused."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, out, err = run(capsys, "--config", str(cfg), *argv, *flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "nodes" in err
 
     def test_unknown_pair(self, capsys):
         assert run(capsys, "invert", "--pair", "bogus", "--points", "1")[0] == 2
@@ -257,3 +273,20 @@ def test_commands_run_without_scipy_or_mpmath(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_reconstruct_output_does_not_depend_on_blas_threads():
+    """The inversion sums call no BLAS routine, so BLAS's thread count
+    cannot reorder them: stdout is byte-identical with one and two."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "shehu.cli", "solve", "heat", "--mode", "reconstruct",
+             "--grid-n", "4"],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from shehu.inverse import (
     _SLAB,
     InversionConfig,
     _axis_rule,
-    _eval_grid,
+    _row_sums,
     _stehfest_weights,
     _talbot_nodes,
     invert_1d,
@@ -46,6 +48,11 @@ def _scalar_talbot(F, u, m):
     for s, w in zip(*_talbot_nodes(u, m, 1.0)):
         total += w * cmath.exp(s * u) * complex(F(s))
     return total
+
+
+def _scalar_sum(weights, rows):
+    """sum_i c_i r_i in node order on Python complex numbers."""
+    return sum(c * r for c, r in zip(weights.tolist(), rows.tolist()))
 
 
 def _scalar_stehfest(F, u, n):
@@ -237,7 +244,7 @@ class TestInvert3D:
         cfg = InversionConfig(nodes=16)
         with pytest.raises(TypeError, match="scalar only"):
             invert_3d(F, (1.0, 1.0, 1.0), cfg)
-        assert calls == [(min(32, _SLAB // 32 ** 2), 1, 1)]
+        assert calls == [(min(16, _SLAB // 32 ** 2), 1, 1)]
         for G in (lambda p, q, s: 1.0 + 0.0 * p.sum(),
                   lambda p, q, s: 1.0 / (p * q)):
             with pytest.raises(DomainError, match="shape"):
@@ -248,10 +255,13 @@ class TestInvert3D:
     @pytest.mark.parametrize("m", [24, 32])
     @pytest.mark.parametrize("name", ["heat", "telegraph", "separable"])
     def test_slabs_equal_one_full_grid_call(self, name, m, monkeypatch):
-        """Slab-by-slab evaluation is bit-identical to one (2m)^3 call.
+        """Slab-by-slab row sums are bit-identical to those of one (2m)^3 call.
 
-        At m = 24 the default slab of _SLAB // 48^2 = 7 x-nodes does not
-        divide the 48 nodes; the 5-node slabs leave a remainder at both m.
+        Each row r_i = sum_j cy_j sum_k ct_k F_ijk is reduced on its own, so
+        neither the default slab, nor slabs of one, five or all 2m x-nodes,
+        change a bit of r or of ``invert_3d``.  At m = 24 the default slab of
+        _SLAB // 48^2 = 7 x-nodes does not divide the 48 nodes; the 5-node
+        slabs leave a remainder at both m.
         """
         F = {
             "heat": heat_transform_solution(HeatSpec(gamma=0.7)).evaluator,
@@ -264,16 +274,15 @@ class TestInvert3D:
         if m == 24:
             assert n % (_SLAB // n ** 2) != 0
         points = [(0.75, 0.5, 1.0), (0.25, 1.0, 0.5)]
-        px, qy, st = (_talbot_nodes(u, m, 1.0)[0] for u in points[0])
+        (px, _), (qy, cy), (st, ct) = (_axis_rule(u, n, cfg) for u in points[0])
         full = F(px[:, None, None], qy[None, :, None], st[None, None, :])
         assert np.all(np.isfinite(full))
-        assert np.array_equal(_eval_grid(F, (px, qy, st)), full)
+        rows = ((full * ct).sum(axis=-1) * cy).sum(axis=-1)
         sliced = [invert_3d(F, pt, cfg) for pt in points]
-        monkeypatch.setattr(inverse, "_SLAB", 5 * n * n)
-        assert np.array_equal(_eval_grid(F, (px, qy, st)), full)
-        assert [invert_3d(F, pt, cfg) for pt in points] == sliced
-        monkeypatch.setattr(inverse, "_SLAB", n ** 3)
-        assert [invert_3d(F, pt, cfg) for pt in points] == sliced
+        for slab in (_SLAB, n * n, 5 * n * n, n ** 3):
+            monkeypatch.setattr(inverse, "_SLAB", slab)
+            assert np.array_equal(_row_sums(F, (px, qy, st), (cy, ct), False, False), rows)
+            assert [invert_3d(F, pt, cfg) for pt in points] == sliced
 
     def test_talbot_nodes_are_cached_and_read_only(self):
         nodes, weights = _talbot_nodes(0.7, 24, 1.0)
@@ -299,6 +308,29 @@ class TestInvert3D:
         F = lambda p, q, s: 1.0 / (p * q * s)
         with pytest.raises(CostBudgetError):
             invert_3d(F, (1.0, 1.0, 1.0), InversionConfig(nodes=64, eval_budget=10**5))
+
+    @pytest.mark.parametrize("invert, point, cfg, points", [
+        (invert_3d, (1.0, 0.5, 0.8), InversionConfig(nodes=32), 33 * 64 * 64),
+        (invert_3d, (1.0, 0.5, 0.8), InversionConfig(method="stehfest"), 8 ** 3),
+        (invert_1d, 0.8, InversionConfig(nodes=32), 33),
+        (invert_1d_complex, 0.8, InversionConfig(nodes=32), 64),
+        (invert_1d, 0.8, InversionConfig(method="stehfest", nodes=14), 14),
+    ])
+    def test_budget_is_charged_for_the_points_evaluated(self, invert, point, cfg, points):
+        """A mirrored contour evaluates half the first axis plus one check
+        node: ``invert_3d`` at 32 nodes evaluates 33 * 64 * 64 = 135,168
+        points, not (2 * 32)^3, and fits a budget of 200,000."""
+        shapes = []
+
+        def F(*args):
+            shapes.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
+            return 1.0 / math.prod(a + 1.0 for a in args)
+
+        invert(F, point, dataclasses.replace(cfg, eval_budget=points))
+        assert sum(math.prod(shape) for shape in shapes) == points
+        with pytest.raises(CostBudgetError,
+                           match=f"^{points} transform evaluations exceed budget {points - 1}$"):
+            invert(F, point, dataclasses.replace(cfg, eval_budget=points - 1))
 
     def test_stehfest_3d(self):
         # per-axis node count is capped at 8: tensor weights cube the
@@ -336,30 +368,33 @@ class TestMirroredHalfGrid:
     @pytest.mark.parametrize("m", [24, 32])
     @pytest.mark.parametrize("name", list(MIRRORED_3D))
     def test_half_grid_equals_one_full_grid_call(self, name, m, monkeypatch):
-        """The conjugate fill reproduces one full-grid call bit for bit.
+        """The mirrored rows reproduce one full-grid evaluation's rows.
 
         F is called on the first m x-nodes in slabs and on the last x-node
-        once, and ``invert_3d`` returns the full-grid einsum's real part.
+        once.  The first m row sums equal those of a full evaluation bit for
+        bit, the other m are their reversed conjugates, and ``invert_3d``
+        returns the real part of sum_i c_i r_i, summed in node order.
         """
         F = MIRRORED_3D[name]
         n = 2 * m
         point = (0.75, 0.5, 1.0)
-        rules = [_axis_rule(u, n, InversionConfig(nodes=m)) for u in point]
-        axes = [r[0] for r in rules]
+        (px, cx), (qy, cy), (st, ct) = (_axis_rule(u, n, InversionConfig(nodes=m))
+                                        for u in point)
         calls = []
 
         def counted(p, q, s):
             calls.append(p[:, 0, 0])
             return F(p, q, s)
 
-        half = _eval_grid(counted, axes, mirror=True)
-        assert np.array_equal(np.concatenate(calls), np.r_[axes[0][:m], axes[0][-1]])
+        half = _row_sums(counted, (px, qy, st), (cy, ct), True, False)
+        assert np.array_equal(np.concatenate(calls), np.r_[px[:m], px[-1]])
         got = invert_3d(F, point, InversionConfig(nodes=m))
         monkeypatch.setattr(inverse, "_SLAB", n ** 3)
-        full = _eval_grid(F, axes)
+        full = _row_sums(F, (px, qy, st), (cy, ct), False, False)
         assert np.all(np.isfinite(full))
-        assert np.array_equal(half, full)
-        assert got == np.einsum("i,j,k,ijk->", *(r[1] for r in rules), full).real
+        assert np.array_equal(half[:m], full[:m])
+        assert np.array_equal(half[m:], np.conjugate(half[:m][::-1]))
+        assert got == _scalar_sum(cx, half).real
 
     @pytest.mark.parametrize("m", [24, 32])
     def test_half_grid_equals_full_grid_in_1d(self, m):
@@ -367,9 +402,10 @@ class TestMirroredHalfGrid:
         F = ML_PAIR[1]
         for t in (0.3, 1.0, 4.0):
             nodes, weights = _axis_rule(t, 2 * m, InversionConfig(nodes=m))
-            full = _eval_grid(F, (nodes,))
-            assert np.array_equal(_eval_grid(F, (nodes,), mirror=True), full)
-            assert invert_1d(F, t, InversionConfig(nodes=m)) == np.einsum("i,i->", weights, full).real
+            half = _row_sums(F, (nodes,), (), True, False)
+            assert np.array_equal(half[:m], F(nodes)[:m])
+            assert np.array_equal(half[m:], np.conjugate(half[:m][::-1]))
+            assert invert_1d(F, t, InversionConfig(nodes=m)) == _scalar_sum(weights, half).real
 
 
 class TestConjugateSymmetryCheck:
@@ -407,3 +443,74 @@ class TestConjugateSymmetryCheck:
                 invert_1d(F, 1.0)
         else:
             assert_allclose(invert_1d(F, 1.0), math.exp(-1.0), rtol=1e-10)
+
+
+A8_POINTS = [(x, y, t) for x in (0.2, 0.4, 0.6, 0.8) for y in (0.2, 0.4, 0.6, 0.8)
+             for t in (0.25, 0.5, 0.75, 1.0)]
+SEPARABLE_POINTS = [(x, y, t) for x in (0.3, 0.7, 1.1, 1.6) for y in (0.5, 1.0, 2.0)
+                    for t in (0.25, 0.6, 1.0)]
+
+
+def _extended_sum(weights, vals):
+    """The contour sum of float64 values, contracted in np.clongdouble."""
+    total = vals.astype(np.clongdouble)
+    for w in reversed(weights):
+        total = (total * w.astype(np.clongdouble)).sum(axis=-1)
+    return total
+
+
+class TestRowSumAccuracy:
+    """The row sums stay within the distance of the full-grid einsum they
+    replaced from an extended-precision contraction of the same F values.
+
+    Both gaps sit at the rounding floor, below 1e-17 of the sum of the
+    terms' magnitudes, so which is closer at one point is chance; over
+    A8's 64 nodes and a 36-point separable grid the row sums' worst gap
+    is the smaller one.
+    """
+
+    @pytest.mark.parametrize("name, m", [("a8", 24), ("separable", 24), ("separable", 32)])
+    def test_3d(self, name, m):
+        F, points = {
+            "a8": (heat_transform_solution(HeatSpec(gamma=1.0)).evaluator, A8_POINTS),
+            "separable": (lambda p, q, s: 1.0 / ((p + 0.5) * (q + 1.5) * (s + 1.0)),
+                          SEPARABLE_POINTS),
+        }[name]
+        cfg = InversionConfig(nodes=m)
+        worst = {"rows": 0.0, "einsum": 0.0}
+        for point in points:
+            (px, cx), (qy, cy), (st, ct) = (_axis_rule(u, 2 * m, cfg) for u in point)
+            full = F(px[:, None, None], qy[None, :, None], st[None, None, :])
+            ref = _extended_sum((cx, cy, ct), full).real
+            for key, got in (("rows", invert_3d(F, point, cfg)),
+                             ("einsum", np.einsum("i,j,k,ijk->", cx, cy, ct, full).real)):
+                worst[key] = max(worst[key], float(abs(got - ref) / abs(ref)))
+        assert worst["rows"] <= worst["einsum"], worst
+
+    @pytest.mark.parametrize("name, F, f", RATIONAL_PAIRS + [ML_PAIR])
+    def test_1d(self, name, F, f):
+        worst = {"rows": 0.0, "einsum": 0.0}
+        for t in (0.3, 0.8, 1.0, 2.2, 4.0):
+            for m in (16, 32, 48):
+                cfg = InversionConfig(nodes=m)
+                nodes, weights = _axis_rule(t, 2 * m, cfg)
+                full = F(nodes)
+                ref = _extended_sum((weights,), full).real
+                for key, got in (("rows", invert_1d(F, t, cfg)),
+                                 ("einsum", np.einsum("i,i->", weights, full).real)):
+                    worst[key] = max(worst[key], float(abs(got - ref)))
+        assert worst["rows"] <= worst["einsum"], worst
+
+    def test_peak_memory_of_one_node(self):
+        """No (2m)^3 value grid is kept: at m = 32 it alone took
+        64^3 * 16 B = 4.2 MB, while one node now peaks under 2 MB."""
+        F = heat_transform_solution(HeatSpec(gamma=0.7)).evaluator
+        cfg = InversionConfig(nodes=32)
+        invert_3d(F, (0.75, 0.5, 1.0), cfg)
+        tracemalloc.start()
+        try:
+            invert_3d(F, (0.75, 0.5, 1.0), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
