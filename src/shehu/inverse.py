@@ -173,9 +173,10 @@ def _invert(
         raise CostBudgetError(f"{evals} transform evaluations exceed budget {cfg.eval_budget}")
     nodes, weights = zip(*(_axis_rule(u, n, cfg) for u in point))
     rows = _row_sums(F, nodes, weights[1:], mirror, cfg.method == "stehfest")
-    # in node order on Python numbers, whose complex product, unlike numpy's,
-    # is never fused (FMA): what a scalar loop over the nodes gives
-    return complex(sum(c * r for c, r in zip(weights[0].tolist(), rows.tolist())))
+    total = 0j  # one term at a time in node order (sum() compensates floats from 3.12)
+    for c, r in zip(weights[0].tolist(), rows.tolist()):
+        total += c * r
+    return total
 
 
 def invert_1d_complex(
@@ -266,12 +267,10 @@ _SLAB = 2 ** 14
 
 #: Largest departure from conjugate symmetry, relative to the largest value
 #: of the checked slab, that the mirrored half accepts.  The package's
-#: evaluators (rational terms and principal-branch powers) treat s and
-#: conj(s) alike and meet it with no difference at all.  The margin of a
-#: few hundred rounding units admits an evaluator that rounds s and conj(s)
-#: differently; filling its values by conjugation errs by about as much as
-#: its own rounding, while the transform of a complex-valued original
-#: departs by far more.
+#: evaluators (rational terms, principal-branch powers) meet it exactly.  A
+#: few hundred rounding units admit one that rounds s and conj(s) apart,
+#: whose conjugate fill errs about as much as its rounding, while the
+#: transform of a complex-valued original departs by far more.
 _MIRROR_RTOL = 1e-13
 
 
@@ -284,7 +283,8 @@ def _row_sums(F, axes, inner, mirror: bool, real_part: bool) -> np.ndarray:
     temporaries stay cache-sized; each slab (its real part with
     ``real_part``) is reduced at once, by a multiply and a pairwise ``sum``
     along the last axis per axis, and dropped.  Each r_i is reduced on its
-    own: the same bits for any slab size or thread, with no BLAS call.
+    own, with no BLAS call: the same bits for any slab size or thread on
+    one CPU (numpy's complex product is fused where its SIMD has FMA).
 
     With ``mirror`` each axis' nodes and weights are conjugate pairs, node
     n-1-j the conjugate of node j, and F(conj s) = conj F(s) must hold, so

@@ -51,8 +51,25 @@ def _scalar_talbot(F, u, m):
 
 
 def _scalar_sum(weights, rows):
-    """sum_i c_i r_i in node order on Python complex numbers."""
-    return sum(c * r for c, r in zip(weights.tolist(), rows.tolist()))
+    """sum_i c_i r_i in node order on Python complex numbers, one term at a
+    time (``sum()`` compensates float sums from Python 3.12)."""
+    total = 0j
+    for c, r in zip(weights.tolist(), rows.tolist()):
+        total += c * r
+    return total
+
+
+def _rounding_bound(weights, vals):
+    """Bound on the rounding error of contracting ``vals`` with ``weights``,
+    last axis first, in any summation order, plus that of a reference
+    contraction: each weight product and axis sum of n terms errs by at
+    most (n + 2) u of its terms' magnitudes (first order), so two
+    contractions differ by at most d (n + 2) eps times the contraction of
+    the magnitudes over the d weighted axes."""
+    mag = np.abs(vals)
+    for w in reversed(weights):
+        mag = (mag * np.abs(w)).sum(axis=-1)
+    return len(weights) * (len(weights[0]) + 2) * np.finfo(float).eps * mag
 
 
 def _scalar_stehfest(F, u, n):
@@ -371,9 +388,12 @@ class TestMirroredHalfGrid:
         """The mirrored rows reproduce one full-grid evaluation's rows.
 
         F is called on the first m x-nodes in slabs and on the last x-node
-        once.  The first m row sums equal those of a full evaluation bit for
-        bit, the other m are their reversed conjugates, and ``invert_3d``
-        returns the real part of sum_i c_i r_i, summed in node order.
+        once.  The full grid of F values is conjugate-symmetric bit for bit,
+        so filling by conjugation gives the values F takes there.  The first
+        m row sums equal those of a full evaluation bit for bit; the other m,
+        their reversed conjugates, are the full evaluation's rows summed in
+        reversed order, equal to rounding.  ``invert_3d`` returns the real
+        part of sum_i c_i r_i, summed in node order.
         """
         F = MIRRORED_3D[name]
         n = 2 * m
@@ -389,11 +409,15 @@ class TestMirroredHalfGrid:
         half = _row_sums(counted, (px, qy, st), (cy, ct), True, False)
         assert np.array_equal(np.concatenate(calls), np.r_[px[:m], px[-1]])
         got = invert_3d(F, point, InversionConfig(nodes=m))
+        grid = F(px[:, None, None], qy[None, :, None], st[None, None, :])
+        assert np.array_equal(grid[m:], np.conjugate(grid[:m][::-1, ::-1, ::-1]))
         monkeypatch.setattr(inverse, "_SLAB", n ** 3)
         full = _row_sums(F, (px, qy, st), (cy, ct), False, False)
         assert np.all(np.isfinite(full))
         assert np.array_equal(half[:m], full[:m])
         assert np.array_equal(half[m:], np.conjugate(half[:m][::-1]))
+        bound = _rounding_bound((cy, ct), grid[m:])
+        assert np.all(np.abs(half[m:] - full[m:]) <= bound)
         assert got == _scalar_sum(cx, half).real
 
     @pytest.mark.parametrize("m", [24, 32])
@@ -403,8 +427,9 @@ class TestMirroredHalfGrid:
         for t in (0.3, 1.0, 4.0):
             nodes, weights = _axis_rule(t, 2 * m, InversionConfig(nodes=m))
             half = _row_sums(F, (nodes,), (), True, False)
-            assert np.array_equal(half[:m], F(nodes)[:m])
-            assert np.array_equal(half[m:], np.conjugate(half[:m][::-1]))
+            full = F(nodes)
+            assert np.array_equal(full[m:], np.conjugate(full[:m][::-1]))
+            assert np.array_equal(half, full)
             assert invert_1d(F, t, InversionConfig(nodes=m)) == _scalar_sum(weights, half).real
 
 
@@ -460,14 +485,10 @@ def _extended_sum(weights, vals):
 
 
 class TestRowSumAccuracy:
-    """The row sums stay within the distance of the full-grid einsum they
-    replaced from an extended-precision contraction of the same F values.
-
-    Both gaps sit at the rounding floor, below 1e-17 of the sum of the
-    terms' magnitudes, so which is closer at one point is chance; over
-    A8's 64 nodes and a 36-point separable grid the row sums' worst gap
-    is the smaller one.
-    """
+    """``invert_3d`` and ``invert_1d`` are as close to an ``np.clongdouble``
+    contraction of the same F values as rounding allows: within
+    ``_rounding_bound``, which holds for any summation order, point set or
+    platform (also where long double is double)."""
 
     @pytest.mark.parametrize("name, m", [("a8", 24), ("separable", 24), ("separable", 32)])
     def test_3d(self, name, m):
@@ -477,29 +498,21 @@ class TestRowSumAccuracy:
                           SEPARABLE_POINTS),
         }[name]
         cfg = InversionConfig(nodes=m)
-        worst = {"rows": 0.0, "einsum": 0.0}
         for point in points:
             (px, cx), (qy, cy), (st, ct) = (_axis_rule(u, 2 * m, cfg) for u in point)
             full = F(px[:, None, None], qy[None, :, None], st[None, None, :])
-            ref = _extended_sum((cx, cy, ct), full).real
-            for key, got in (("rows", invert_3d(F, point, cfg)),
-                             ("einsum", np.einsum("i,j,k,ijk->", cx, cy, ct, full).real)):
-                worst[key] = max(worst[key], float(abs(got - ref) / abs(ref)))
-        assert worst["rows"] <= worst["einsum"], worst
+            gap = abs(invert_3d(F, point, cfg) - _extended_sum((cx, cy, ct), full).real)
+            assert gap <= _rounding_bound((cx, cy, ct), full), point
 
     @pytest.mark.parametrize("name, F, f", RATIONAL_PAIRS + [ML_PAIR])
     def test_1d(self, name, F, f):
-        worst = {"rows": 0.0, "einsum": 0.0}
         for t in (0.3, 0.8, 1.0, 2.2, 4.0):
             for m in (16, 32, 48):
                 cfg = InversionConfig(nodes=m)
                 nodes, weights = _axis_rule(t, 2 * m, cfg)
                 full = F(nodes)
-                ref = _extended_sum((weights,), full).real
-                for key, got in (("rows", invert_1d(F, t, cfg)),
-                                 ("einsum", np.einsum("i,i->", weights, full).real)):
-                    worst[key] = max(worst[key], float(abs(got - ref)))
-        assert worst["rows"] <= worst["einsum"], worst
+                gap = abs(invert_1d(F, t, cfg) - _extended_sum((weights,), full).real)
+                assert gap <= _rounding_bound((weights,), full), (t, m)
 
     def test_peak_memory_of_one_node(self):
         """No (2m)^3 value grid is kept: at m = 32 it alone took
