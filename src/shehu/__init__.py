@@ -37,13 +37,11 @@ from .fpde import (
     TelegraphSpec,
     TransformSolution,
     binomial_series,
-    heat_residual,
-    heat_transform_solution,
     reconstruct,
     series_solution_heat,
     series_solution_telegraph,
-    telegraph_residual,
-    telegraph_transform_solution,
+    transform_residual,
+    transform_solution,
 )
 from .fracops import (
     AXES,

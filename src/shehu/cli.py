@@ -25,13 +25,11 @@ from .forward import QuadratureConfig, RatioPoint, shehu_1d, shehu_2d, shehu_3d
 from .fpde import (
     HeatSpec,
     TelegraphSpec,
-    heat_residual,
-    heat_transform_solution,
     reconstruct,
     series_solution_heat,
     series_solution_telegraph,
-    telegraph_residual,
-    telegraph_transform_solution,
+    transform_residual,
+    transform_solution,
 )
 from .funclib import get_field, ml_kernel_field, power_field
 from .inverse import InversionConfig, invert_1d
@@ -212,21 +210,11 @@ def _residual_points(seed: int, count: int = 20):
 
 
 def cmd_solve(args) -> int:
-    if not (0.0 < args.gamma <= 1.0):
-        print(f"error: gamma must lie in (0, 1], got {args.gamma}", file=sys.stderr)
-        return 2
-    if args.problem == "telegraph" and (args.alpha <= 0.0 or args.beta <= 0.0):
-        print("error: telegraph needs alpha > 0 and beta > 0", file=sys.stderr)
-        return 2
-
     if args.problem == "heat":
         spec = HeatSpec(gamma=args.gamma)
-        F = heat_transform_solution(spec)
-        residual = lambda pt: heat_residual(spec, F, pt)
     else:
         spec = TelegraphSpec(gamma=args.gamma, alpha=args.alpha, beta=args.beta)
-        F = telegraph_transform_solution(spec)
-        residual = lambda pt: telegraph_residual(spec, F, pt, mode=args.relation)
+    F = transform_solution(spec)
 
     seed = int(_merged(args, "seed", 42))
     output = _merged(args, "output", None)
@@ -235,7 +223,7 @@ def cmd_solve(args) -> int:
         lines = ["p,q,s,residual"]
         worst = 0.0
         for pt in _residual_points(seed):
-            r = residual(pt)
+            r = transform_residual(spec, F, pt, mode=args.relation)
             worst = max(worst, r)
             lines.append(",".join(_fmt(v) for v in (*pt, r)))
         lines.append(f"# worst={_fmt(worst)}")

@@ -1,23 +1,23 @@
 """Transform-domain solutions of the worked fractional PDE examples.
 
-Two problems are built here, both on (x, y, t) in (0, inf)^3 with ratio
-variables (p, q, s):
+Two problems on (x, y, t) in (0, inf)^3, with ratio variables (p, q, s),
+are built here: a two-dimensional heat equation of fractional time order
+g in (0, 1] with diffusivity 1/pi^2, and a telegraph equation of fractional
+time order with damping 2*alpha and reaction beta^2.  Both solve one
+printed relation in the transformed initial plane K(p, q) and derivative
+faces Bx(q, s), By(p, s),
 
-  * a two-dimensional heat equation of fractional time order g in (0, 1],
-    with diffusivity 1/pi^2, whose transform-domain solution is a
-    three-term rational expression in (p, q, s) with denominator factor
-    pi^2 s^g - p^2 - q^2;
+    (c s^g + b^2) F = c s^(g-1) K + (p^2 + q^2) F - p Bx - q By,
 
-  * a telegraph equation of fractional time order with damping 2*alpha
-    and reaction beta^2, whose printed transform-domain relation carries
-    the factor (1 + 2*alpha) s^g + beta^2 - p^2 - q^2.
+with c = pi^2, b = 0 for heat and c = 1 + 2*alpha, b = beta for the
+telegraph; one builder and one residual serve both problems.
 
-Each solution is validated against the algebraic relation it solves
-(residual checks), reconstructed on space-time grids by nested inversion,
-and accompanied by pole-guarded evaluators for the printed series
-expansions, whose literal coefficients contain gamma factors at poles
-(a documented defect of the source expressions; the guard skips and
-counts such terms instead of failing).
+Each solution is validated against that relation (residual checks),
+reconstructed on space-time grids by nested inversion, and accompanied by
+pole-guarded evaluators for the printed series expansions, whose literal
+coefficients contain gamma factors at poles (a documented defect of the
+source expressions; the guard skips and counts such terms instead of
+failing).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,10 +47,8 @@ __all__ = [
     "TransformSolution",
     "GuardedSeriesResult",
     "Grid3Field",
-    "heat_transform_solution",
-    "heat_residual",
-    "telegraph_transform_solution",
-    "telegraph_residual",
+    "transform_solution",
+    "transform_residual",
     "reconstruct",
     "binomial_series",
     "series_solution_heat",
@@ -61,27 +59,24 @@ _PI2 = math.pi * math.pi
 _SINGULAR_TOL = 1e-12
 
 
-def _order_in_unit(value) -> FracOrder:
-    order = value if isinstance(value, FracOrder) else FracOrder(float(value))
-    if not (0.0 < order.value <= 1.0):
-        raise ValueError(f"time order must lie in (0, 1], got {order.value}")
-    return order
+class _PrintedProblem:
+    """Transformed data written once for both specs.
 
-
-@dataclass(frozen=True)
-class HeatSpec:
-    """Fractional heat problem: time order g in (0, 1], diffusivity 1/pi^2.
-
-    Transformed data (boundary and initial conditions):
-        Bx(q, s) = pi q^(g-1) / (s (1 + q^g))      x-derivative face
-        By(p, s) = pi p^(g-1) / (s (1 - p^g))      y-derivative face
-        K(p, q)  = pi^2 / ((p^2+pi^2)(q^2+pi^2))   initial plane
+    A spec supplies ``gamma`` and the derived values that the builder and
+    the residual read: ``c``, ``b2``, ``k_num``, ``ck_num`` (c k_num as the
+    printed first term writes it), ``k_den(p, q)``, ``by_flipped`` and
+    ``locus`` (the name of the D = 0 locus).
     """
 
-    gamma: FracOrder | float = 1.0
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", _order_in_unit(self.gamma))
+        g = float(getattr(self.gamma, "value", self.gamma))
+        if not (0.0 < g <= 1.0):
+            raise ValueError(f"gamma must lie in (0, 1], got {g}")
+        object.__setattr__(self, "gamma", FracOrder(g))
+
+    def by_factor(self, pg):
+        """By's denominator factor: 1 - p^g where ``by_flipped``, else p^g - 1."""
+        return 1.0 - pg if self.by_flipped else pg - 1.0
 
     def data_bx(self, q, s):
         g = self.gamma.value
@@ -89,17 +84,41 @@ class HeatSpec:
 
     def data_by(self, p, s):
         g = self.gamma.value
-        return math.pi * p ** (g - 1.0) / (s * (1.0 - p ** g))
+        return math.pi * p ** (g - 1.0) / (s * self.by_factor(p ** g))
 
     def data_initial(self, p, q):
-        return _PI2 / ((p * p + _PI2) * (q * q + _PI2))
+        return self.k_num / self.k_den(p, q)
 
 
 @dataclass(frozen=True)
-class TelegraphSpec:
+class HeatSpec(_PrintedProblem):
+    """Fractional heat problem: time order g in (0, 1], diffusivity 1/pi^2.
+
+    In the shared relation c = pi^2 and b = 0.  Transformed data:
+        Bx(q, s) = pi q^(g-1) / (s (1 + q^g))      x-derivative face
+        By(p, s) = pi p^(g-1) / (s (1 - p^g))      y-derivative face
+        K(p, q)  = pi^2 / ((p^2+pi^2)(q^2+pi^2))   initial plane
+    """
+
+    gamma: FracOrder | float = 1.0
+
+    c = _PI2
+    b2 = 0.0
+    k_num = _PI2
+    ck_num = math.pi ** 4  # as printed; not _PI2 * _PI2 in binary
+    by_flipped = True
+    locus = "pi^2 s^g = p^2 + q^2"
+
+    @staticmethod
+    def k_den(p, q):
+        return (p * p + _PI2) * (q * q + _PI2)
+
+
+@dataclass(frozen=True)
+class TelegraphSpec(_PrintedProblem):
     """Fractional telegraph problem with damping alpha > 0, reaction beta > 0.
 
-    Transformed data:
+    In the shared relation c = 1 + 2*alpha and b = beta.  Transformed data:
         Bx(q, s) = pi q^(g-1) / (s (1 + q^g))
         By(p, s) = pi p^(g-1) / (s (p^g - 1))
         K(p, q)  = 1 / (p (q + 1))                 initial plane
@@ -109,23 +128,30 @@ class TelegraphSpec:
     alpha: float = 0.5
     beta: float = 1.0
 
+    k_num = 1.0
+    by_flipped = False
+    locus = "(1+2a) s^g + b^2 = p^2 + q^2"
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", _order_in_unit(self.gamma))
+        super().__post_init__()
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError(
                 f"alpha and beta must be positive, got {self.alpha}, {self.beta}"
             )
 
-    def data_bx(self, q, s):
-        g = self.gamma.value
-        return math.pi * q ** (g - 1.0) / (s * (1.0 + q ** g))
+    @property
+    def c(self) -> float:
+        return 1.0 + 2.0 * self.alpha
 
-    def data_by(self, p, s):
-        g = self.gamma.value
-        return math.pi * p ** (g - 1.0) / (s * (p ** g - 1.0))
+    @property
+    def b2(self) -> float:
+        return self.beta * self.beta
 
-    def data_initial(self, p, q):
-        return 1.0 / (p * (q + 1.0))
+    ck_num = c  # k_num = 1
+
+    @staticmethod
+    def k_den(p, q):
+        return p * (q + 1.0)
 
 
 @dataclass(frozen=True)
@@ -149,127 +175,74 @@ def _guard(name: str, den, scale) -> None:
         raise SingularDenominator(f"evaluation on singular locus: {name}")
 
 
-def heat_transform_solution(spec: HeatSpec) -> TransformSolution:
-    """Three-term transform-domain solution of the fractional heat example.
+def transform_solution(spec: HeatSpec | TelegraphSpec) -> TransformSolution:
+    """Three-term transform-domain solution of the heat or telegraph example.
 
-    F = pi^4 s^(g-1) / ((p^2+pi^2)(q^2+pi^2) D)
+    F = c K_num s^(g-1) / (k_den(p, q) D)
         - pi p q^(g-1) / (s (1+q^g) D)
-        - pi q p^(g-1) / (s (1-p^g) D),
-    D = pi^2 s^g - p^2 - q^2.
+        - pi q p^(g-1) / (s by_factor(p^g) D),
+    D = c s^g + b^2 - p^2 - q^2, with the derived values of ``spec``; this is
+    (c s^(g-1) K - p Bx - q By) / D evaluated as the three printed terms.
     """
     g = spec.gamma.value
+    c, b2, ck_num, locus = spec.c, spec.b2, spec.ck_num, spec.locus
 
     def evaluator(p, q, s):
         p, q, s = np.asarray(p), np.asarray(q), np.asarray(s)
         pg, qg, sg = p ** g, q ** g, s ** g
-        dd = _PI2 * sg - p * p - q * q
-        _guard(
-            "pi^2 s^g = p^2 + q^2", dd,
-            _PI2 * np.abs(sg) + np.abs(p) ** 2 + np.abs(q) ** 2 + 1.0,
-        )
-        _guard("p^g = 1", 1.0 - pg, 1.0 + np.abs(pg))
+        dd = c * sg + b2 - p * p - q * q
+        _guard(locus, dd,
+               c * np.abs(sg) + b2 + np.abs(p) ** 2 + np.abs(q) ** 2 + 1.0)
+        by = spec.by_factor(pg)
+        _guard("p^g = 1", by, 1.0 + np.abs(pg))
         _guard("s = 0", s, 1.0)
-        term1 = math.pi ** 4 * sg / s / ((p * p + _PI2) * (q * q + _PI2) * dd)
+        term1 = ck_num * sg / s / (spec.k_den(p, q) * dd)
         term2 = math.pi * p * qg / q / (s * (1.0 + qg) * dd)
-        term3 = math.pi * q * pg / p / (s * (1.0 - pg) * dd)
+        term3 = math.pi * q * pg / p / (s * by * dd)
         out = term1 - term2 - term3
         return complex(out) if out.ndim == 0 else out
 
     return TransformSolution(
-        evaluator=evaluator,
-        singular_loci=("pi^2 s^g = p^2 + q^2", "p^g = 1", "s = 0"),
+        evaluator=evaluator, singular_loci=(locus, "p^g = 1", "s = 0"),
     )
 
 
-def heat_residual(
-    spec: HeatSpec, F: TransformSolution, point: tuple[float, float, float]
-) -> float:
-    """|LHS - RHS| of the transformed heat relation at (p, q, s).
-
-    LHS = s^g F;  RHS = s^(g-1) K + (1/pi^2) [(p^2 + q^2) F - p Bx - q By]
-    with the transformed data of ``spec`` substituted.
-    """
-    p, q, s = point
-    g = spec.gamma.value
-    Fv = F(p, q, s)
-    lhs = s ** g * Fv
-    rhs = (
-        s ** (g - 1.0) * spec.data_initial(p, q)
-        + ((p * p + q * q) * Fv
-           - p * spec.data_bx(q, s)
-           - q * spec.data_by(p, s)) / _PI2
-    )
-    return abs(lhs - rhs)
-
-
-def telegraph_transform_solution(spec: TelegraphSpec) -> TransformSolution:
-    """Three-term transform-domain solution of the telegraph example.
-
-    F = (1+2a) s^(g-1) / (p (q+1) D)
-        - pi p q^(g-1) / (s (1+q^g) D)
-        - pi q p^(g-1) / (s (p^g-1) D),
-    D = (1+2a) s^g + b^2 - p^2 - q^2.
-    """
-    g = spec.gamma.value
-    a, b = spec.alpha, spec.beta
-
-    def evaluator(p, q, s):
-        p, q, s = np.asarray(p), np.asarray(q), np.asarray(s)
-        pg, qg, sg = p ** g, q ** g, s ** g
-        dd = (1.0 + 2.0 * a) * sg + b * b - p * p - q * q
-        _guard(
-            "(1+2a) s^g + b^2 = p^2 + q^2", dd,
-            (1.0 + 2.0 * a) * np.abs(sg) + b * b + np.abs(p) ** 2 + np.abs(q) ** 2,
-        )
-        _guard("p^g = 1", pg - 1.0, 1.0 + np.abs(pg))
-        _guard("s = 0", s, 1.0)
-        term1 = (1.0 + 2.0 * a) * sg / s / (p * (q + 1.0) * dd)
-        term2 = math.pi * p * qg / q / (s * (1.0 + qg) * dd)
-        term3 = math.pi * q * pg / p / (s * (pg - 1.0) * dd)
-        out = term1 - term2 - term3
-        return complex(out) if out.ndim == 0 else out
-
-    return TransformSolution(
-        evaluator=evaluator,
-        singular_loci=("(1+2a) s^g + b^2 = p^2 + q^2", "p^g = 1", "s = 0"),
-    )
-
-
-def telegraph_residual(
-    spec: TelegraphSpec,
+def transform_residual(
+    spec: HeatSpec | TelegraphSpec,
     F: TransformSolution,
     point: tuple[float, float, float],
     mode: str = "printed",
 ) -> float:
-    """|LHS - RHS| of the transformed telegraph relation at (p, q, s).
+    """|LHS - RHS| of the transformed relation of ``spec`` at (p, q, s).
 
     ``mode="printed"`` uses the relation exactly as the solution solves it,
-    with the collapsed time operator (1 + 2*alpha) s^g.  ``mode="strict"``
-    instead applies the standard operational form s^(2g) + 2*alpha*s^g
-    (with the matching boundary powers and zero initial velocity); it is
-    reported for comparison only and is not expected to vanish on the
-    printed solution.
+    un-normalised: (c s^g + b^2) F = c s^(g-1) K + (p^2 + q^2) F - p Bx - q By.
+    ``mode="strict"``, for a telegraph spec only, instead applies the
+    standard operational form s^(2g) + 2*alpha*s^g (with the matching
+    boundary powers and zero initial velocity); it is reported for
+    comparison only and is not expected to vanish on the printed solution.
     """
     p, q, s = point
     g = spec.gamma.value
-    a, b = spec.alpha, spec.beta
     Fv = F(p, q, s)
     K = spec.data_initial(p, q)
-    space = (
-        (p * p + q * q) * Fv
-        - p * spec.data_bx(q, s)
-        - q * spec.data_by(p, s)
-    )
+    space = (p * p + q * q) * Fv - p * spec.data_bx(q, s) - q * spec.data_by(p, s)
     if mode == "printed":
-        lhs = (1.0 + 2.0 * a) * s ** g * Fv + b * b * Fv
-        rhs = (1.0 + 2.0 * a) * s ** (g - 1.0) * K + space
-    elif mode == "strict":
+        lhs = spec.c * s ** g * Fv + spec.b2 * Fv
+        rhs = spec.c * s ** (g - 1.0) * K + space
+    elif mode == "strict" and isinstance(spec, TelegraphSpec):
         # zero initial velocity assumed: the s^(2g-2) boundary term vanishes
-        lhs = (s ** (2.0 * g) + 2.0 * a * s ** g + b * b) * Fv
+        a = spec.alpha
+        lhs = (s ** (2.0 * g) + 2.0 * a * s ** g + spec.b2) * Fv
         rhs = s ** (2.0 * g - 1.0) * K + 2.0 * a * s ** (g - 1.0) * K + space
     else:
-        raise ValueError(f"unknown residual mode {mode!r}")
+        raise ValueError(f"no residual mode {mode!r} for {type(spec).__name__}")
     return abs(lhs - rhs)
+
+
+# the per-problem names, kept for existing callers
+heat_transform_solution = telegraph_transform_solution = transform_solution
+heat_residual = telegraph_residual = transform_residual
 
 
 # -- reconstruction -----------------------------------------------------------
@@ -470,19 +443,23 @@ class _TermSpec:
 
 
 def _eval_guarded(
-    groups: Sequence[tuple[str, Sequence[tuple[int, ...]], Callable]],
+    groups: Sequence[tuple[str, int, Callable]],
+    truncation: int,
     point: tuple[float, float, float],
     override: Callable[[str, tuple[int, ...]], float | None] | None,
 ) -> GuardedSeriesResult:
+    """Sum each group's terms over indices 0 .. truncation-1 in every sum."""
     x, y, t = point
     if min(x, y, t) <= 0.0:
         raise ValueError("series evaluation point must be componentwise positive")
+    if not (isinstance(truncation, int) and truncation >= 1):
+        raise ValueError(f"truncation must be an integer >= 1, got {truncation!r}")
     lx, ly, lt = math.log(x), math.log(y), math.log(t)
     total = 0.0
     guarded = 0
     used = 0
-    for group_id, indices, spec_fn in groups:
-        for idx in indices:
+    for group_id, n_sums, spec_fn in groups:
+        for idx in product(range(truncation), repeat=n_sums):
             spec: _TermSpec = spec_fn(idx)
             if override is not None:
                 c = override(group_id, idx)
@@ -512,8 +489,7 @@ def _eval_guarded(
     return GuardedSeriesResult(value=total, guarded_count=guarded, terms_used=used)
 
 
-def _heat_groups(g: float, truncation: Mapping[str, int] | int):
-    n_terms = _per_index(truncation, default=8)
+def _heat_groups(g: float):
     lpi = math.log(math.pi)
 
     def group1(idx):
@@ -558,19 +534,12 @@ def _heat_groups(g: float, truncation: Mapping[str, int] | int):
             powers=(2.0 * m - 2.0 * u - g, -2.0 * m - 2.0, g * u + g - 1.0),
         )
 
-    return [
-        ("heat1", product(*(range(n_terms) for _ in range(4))), group1),
-        ("heat2", product(*(range(n_terms) for _ in range(3))), group2),
-        ("heat3", product(*(range(n_terms) for _ in range(2))), group3),
-    ]
+    return [("heat1", 4, group1), ("heat2", 3, group2), ("heat3", 2, group3)]
 
 
-def _telegraph_groups(g: float, alpha: float, beta: float,
-                      truncation: Mapping[str, int] | int):
-    n_terms = _per_index(truncation, default=8)
+def _telegraph_groups(g: float, alpha: float, beta: float):
     lpi = math.log(math.pi)
-    la = math.log(alpha) if alpha > 0 else -math.inf
-    lb = math.log(beta) if beta > 0 else -math.inf
+    la, lb = math.log(alpha), math.log(beta)
 
     def coupling(p_idx: int, q_idx: int) -> float:
         return p_idx * la + q_idx * (la + 2.0 * lb)
@@ -618,24 +587,13 @@ def _telegraph_groups(g: float, alpha: float, beta: float,
             powers=(2.0 * m - 2.0 * u - g, -2.0 * m - 2.0, g * u + g - 1.0),
         )
 
-    return [
-        ("telegraph1", product(*(range(n_terms) for _ in range(6))), group1),
-        ("telegraph2", product(*(range(n_terms) for _ in range(5))), group2),
-        ("telegraph3", product(*(range(n_terms) for _ in range(4))), group3),
-    ]
-
-
-def _per_index(truncation: Mapping[str, int] | int, default: int) -> int:
-    if isinstance(truncation, int):
-        return max(1, truncation)
-    if truncation:
-        return max(1, min(truncation.values()))
-    return default
+    return [("telegraph1", 6, group1), ("telegraph2", 5, group2),
+            ("telegraph3", 4, group3)]
 
 
 def series_solution_heat(
     point: tuple[float, float, float],
-    truncation: Mapping[str, int] | int = 8,
+    truncation: int = 8,
     gamma: float = 0.5,
     coefficient_override: Callable[[str, tuple[int, ...]], float | None] | None = None,
 ) -> GuardedSeriesResult:
@@ -645,14 +603,18 @@ def series_solution_heat(
     m! G(-1)^k G(u) pattern), so with the literal coefficients every term
     is guarded and the value is 0; the evaluator exists to document that
     defect and to support coefficient overrides.  Experimental.
+
+    Raises:
+        ValueError: for gamma outside (0, 1] or a truncation below 1.
     """
-    groups = _heat_groups(float(gamma), truncation)
-    return _eval_guarded(groups, point, coefficient_override)
+    spec = HeatSpec(gamma=gamma)
+    return _eval_guarded(_heat_groups(spec.gamma.value), truncation, point,
+                         coefficient_override)
 
 
 def series_solution_telegraph(
     point: tuple[float, float, float],
-    truncation: Mapping[str, int] | int = 8,
+    truncation: int = 8,
     gamma: float = 0.5,
     alpha: float = 0.5,
     beta: float = 1.0,
@@ -665,7 +627,5 @@ def series_solution_telegraph(
     term).  Experimental.
     """
     spec = TelegraphSpec(gamma=gamma, alpha=alpha, beta=beta)
-    groups = _telegraph_groups(
-        spec.gamma.value, spec.alpha, spec.beta, truncation
-    )
-    return _eval_guarded(groups, point, coefficient_override)
+    groups = _telegraph_groups(spec.gamma.value, spec.alpha, spec.beta)
+    return _eval_guarded(groups, truncation, point, coefficient_override)

@@ -130,6 +130,18 @@ class TestSolve:
         assert code == 2
         assert "gamma" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("heat", "--relation", "strict"), "no residual mode 'strict' for HeatSpec"),
+        (("telegraph", "--alpha", "0"), "alpha and beta must be positive"),
+        (("heat", "--mode", "series", "--truncation", "0"), "truncation must be"),
+        (("heat", "--mode", "series", "--truncation", "-3"), "truncation must be"),
+    ])
+    def test_invalid_problem_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_series_mode(self, capsys):
         code, out, _ = run(
             capsys, "solve", "heat", "--gamma", "0.6", "--mode", "series",

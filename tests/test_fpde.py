@@ -2,6 +2,7 @@ import contextvars
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 
@@ -28,6 +29,8 @@ from shehu.fpde import (
     series_solution_telegraph,
     telegraph_residual,
     telegraph_transform_solution,
+    transform_residual,
+    transform_solution,
 )
 from shehu.inverse import _SLAB, InversionConfig, _talbot_nodes, invert_3d
 
@@ -63,6 +66,12 @@ class TestHeatSolution:
     def test_gamma_range(self):
         with pytest.raises(ValueError):
             HeatSpec(gamma=1.5)
+
+    def test_strict_relation_refused(self):
+        spec = HeatSpec(gamma=0.7)
+        with pytest.raises(ValueError, match="no residual mode 'strict' for HeatSpec"):
+            heat_residual(spec, heat_transform_solution(spec), (2.0, 1.0, 1.0),
+                          mode="strict")
 
     @pytest.mark.parametrize("g", [0.3, 0.5, 0.7, 1.0])
     def test_residual_vanishes(self, g):
@@ -185,6 +194,17 @@ class TestGuardedSeries:
         assert res.guarded_count > 0
         assert res.terms_used == 0
         assert math.isfinite(res.value)
+
+    @pytest.mark.parametrize("gamma", [1.5, -0.3, 0.0])
+    def test_heat_gamma_validated(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            series_solution_heat((0.5, 0.5, 0.5), truncation=4, gamma=gamma)
+
+    @pytest.mark.parametrize("truncation", [0, -3, 2.0])
+    @pytest.mark.parametrize("series", [series_solution_heat, series_solution_telegraph])
+    def test_truncation_below_one_refused(self, series, truncation):
+        with pytest.raises(ValueError, match="truncation must be an integer >= 1"):
+            series((0.5, 0.5, 0.5), truncation=truncation)
 
     def test_deterministic(self):
         a = series_solution_heat((0.5, 0.5, 0.5), truncation=5, gamma=0.6)
@@ -506,3 +526,104 @@ class TestReconstructThreads:
             var.reset(token)
         # each node makes one half-grid call and one check call
         assert seen == ["caller"] * (2 * len(self.XS) * len(self.YS) * len(self.TS))
+
+
+def _reference_guard(name, den, scale):
+    if np.any(np.abs(den) <= 1e-12 * np.asarray(scale)):
+        raise SingularDenominator(f"evaluation on singular locus: {name}")
+
+
+def _reference_heat(g):
+    """The separate printed heat evaluator that the one builder replaced."""
+    def evaluator(p, q, s):
+        p, q, s = np.asarray(p), np.asarray(q), np.asarray(s)
+        pg, qg, sg = p ** g, q ** g, s ** g
+        dd = PI2 * sg - p * p - q * q
+        _reference_guard(
+            "pi^2 s^g = p^2 + q^2", dd,
+            PI2 * np.abs(sg) + np.abs(p) ** 2 + np.abs(q) ** 2 + 1.0,
+        )
+        _reference_guard("p^g = 1", 1.0 - pg, 1.0 + np.abs(pg))
+        _reference_guard("s = 0", s, 1.0)
+        term1 = math.pi ** 4 * sg / s / ((p * p + PI2) * (q * q + PI2) * dd)
+        term2 = math.pi * p * qg / q / (s * (1.0 + qg) * dd)
+        term3 = math.pi * q * pg / p / (s * (1.0 - pg) * dd)
+        out = term1 - term2 - term3
+        return complex(out) if out.ndim == 0 else out
+
+    return TransformSolution(evaluator, ("pi^2 s^g = p^2 + q^2", "p^g = 1", "s = 0"))
+
+
+def _reference_telegraph(g, a, b):
+    """The separate printed telegraph evaluator that the one builder replaced."""
+    def evaluator(p, q, s):
+        p, q, s = np.asarray(p), np.asarray(q), np.asarray(s)
+        pg, qg, sg = p ** g, q ** g, s ** g
+        dd = (1.0 + 2.0 * a) * sg + b * b - p * p - q * q
+        _reference_guard(
+            "(1+2a) s^g + b^2 = p^2 + q^2", dd,
+            (1.0 + 2.0 * a) * np.abs(sg) + b * b + np.abs(p) ** 2 + np.abs(q) ** 2,
+        )
+        _reference_guard("p^g = 1", pg - 1.0, 1.0 + np.abs(pg))
+        _reference_guard("s = 0", s, 1.0)
+        term1 = (1.0 + 2.0 * a) * sg / s / (p * (q + 1.0) * dd)
+        term2 = math.pi * p * qg / q / (s * (1.0 + qg) * dd)
+        term3 = math.pi * q * pg / p / (s * (pg - 1.0) * dd)
+        out = term1 - term2 - term3
+        return complex(out) if out.ndim == 0 else out
+
+    return TransformSolution(
+        evaluator, ("(1+2a) s^g + b^2 = p^2 + q^2", "p^g = 1", "s = 0"))
+
+
+ONE_BUILDER_SPECS = {
+    "heat-0.5": (HeatSpec(gamma=0.5), _reference_heat(0.5)),
+    "heat-1": (HeatSpec(gamma=1.0), _reference_heat(1.0)),
+    "telegraph-0.9": (TelegraphSpec(gamma=0.9, alpha=0.5, beta=1.0),
+                      _reference_telegraph(0.9, 0.5, 1.0)),
+    "telegraph-0.4": (TelegraphSpec(gamma=0.4, alpha=1.3, beta=1.8),
+                      _reference_telegraph(0.4, 1.3, 1.8)),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_BUILDER_SPECS))
+class TestOneBuilder:
+    """One builder and one residual serve heat and telegraph alike."""
+
+    def test_values_equal_the_separate_evaluators_bit_for_bit(self, name):
+        """Talbot grids at A8's node and the thread tests' grid, m = 16 and 24."""
+        spec, ref = ONE_BUILDER_SPECS[name]
+        F = transform_solution(spec)
+        T = TestReconstructThreads
+        points = [(0.8, 0.8, 0.25), *itertools.product(T.XS, T.YS, T.TS)]
+        for m in (16, 24):
+            for point in points:
+                px, qy, st = (_talbot_nodes(u, m, 1.0)[0] for u in point)
+                grid = (px[:, None, None], qy[None, :, None], st[None, None, :])
+                assert F(*grid).tobytes() == ref(*grid).tobytes()
+
+    def test_loci_and_guard_messages_unchanged(self, name):
+        spec, ref = ONE_BUILDER_SPECS[name]
+        F = transform_solution(spec)
+        assert F.singular_loci == ref.singular_loci
+        g = spec.gamma.value
+        c, b2 = (PI2, 0.0) if isinstance(spec, HeatSpec) else (
+            1.0 + 2.0 * spec.alpha, spec.beta ** 2)
+        hits = [(2.0, 1.0, ((5.0 - b2) / c) ** (1.0 / g)), (1.0, 2.0, 1.5),
+                (2.0, 1.0, 0.0)]
+        for point, locus in zip(hits, ref.singular_loci):
+            for fn in (F, ref):
+                with pytest.raises(SingularDenominator,
+                                   match=re.escape(f"singular locus: {locus}") + "$"):
+                    fn(*point)
+
+    def test_residual_is_the_unnormalised_relation(self, name):
+        """For 1.01 F the residual is 0.01 |D F|, with D = c s^g + b^2 - p^2 - q^2."""
+        spec, _ = ONE_BUILDER_SPECS[name]
+        F = transform_solution(spec)
+        F_bad = TransformSolution(lambda p, q, s: 1.01 * F(p, q, s), F.singular_loci)
+        p, q, s = 2.0, 1.5, 1.2
+        dd = spec.c * s ** spec.gamma.value + spec.b2 - p * p - q * q
+        assert transform_residual(spec, F, (p, q, s)) <= 1e-13 * abs(dd * F(p, q, s))
+        assert_allclose(transform_residual(spec, F_bad, (p, q, s)),
+                        0.01 * abs(dd * F(p, q, s)), rtol=1e-10)
