@@ -209,7 +209,19 @@ def _residual_points(seed: int, count: int = 20):
     return pts
 
 
+# flags that only one --mode reads; none of them is a config key
+_MODE_FLAGS = (("relation", "residual"), ("residual_tol", "residual"),
+               ("truncation", "series"))
+
+
 def cmd_solve(args) -> int:
+    for key, mode in _MODE_FLAGS:
+        if getattr(args, key) is not None and args.mode != mode:
+            raise ValueError(f"--{key.replace('_', '-')} applies only to --mode {mode}")
+    relation = _merged(args, "relation", "printed")
+    if relation == "strict" and args.residual_tol is not None:
+        raise ValueError("--residual-tol does not apply to --relation strict, "
+                         "which is reported for comparison only")
     if args.problem == "heat":
         spec = HeatSpec(gamma=args.gamma)
     else:
@@ -223,21 +235,23 @@ def cmd_solve(args) -> int:
         lines = ["p,q,s,residual"]
         worst = 0.0
         for pt in _residual_points(seed):
-            r = transform_residual(spec, F, pt, mode=args.relation)
+            r = transform_residual(spec, F, pt, mode=relation)
             worst = max(worst, r)
             lines.append(",".join(_fmt(v) for v in (*pt, r)))
         lines.append(f"# worst={_fmt(worst)}")
         _emit(lines, output)
-        return 0 if worst <= args.residual_tol else 1
+        if relation == "strict":  # reported for comparison only
+            return 0
+        return 0 if worst <= _merged(args, "residual_tol", 1e-10) else 1
 
     if args.mode == "series":
         point = (0.5, 0.5, 0.5)
+        truncation = _merged(args, "truncation", 6)
         if args.problem == "heat":
-            res = series_solution_heat(point, truncation=args.truncation,
-                                       gamma=args.gamma)
+            res = series_solution_heat(point, truncation=truncation, gamma=args.gamma)
         else:
             res = series_solution_telegraph(
-                point, truncation=args.truncation, gamma=args.gamma,
+                point, truncation=truncation, gamma=args.gamma,
                 alpha=args.alpha, beta=args.beta,
             )
         _emit(
@@ -323,11 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--mode", choices=("residual", "reconstruct", "series"),
                    default="residual")
-    p.add_argument("--relation", choices=("printed", "strict"),
-                   default="printed")
-    p.add_argument("--residual-tol", dest="residual_tol", type=float,
-                   default=1e-10)
-    p.add_argument("--truncation", type=int, default=6)
+    p.add_argument("--relation", choices=("printed", "strict"))
+    p.add_argument("--residual-tol", dest="residual_tol", type=float)
+    p.add_argument("--truncation", type=int)
     p.add_argument("--grid-n", dest="grid_n", type=int)
     p.add_argument("--grid-extent", dest="grid_extent", type=float)
     p.add_argument("--method", choices=("talbot", "stehfest"))

@@ -240,11 +240,6 @@ def transform_residual(
     return abs(lhs - rhs)
 
 
-# the per-problem names, kept for existing callers
-heat_transform_solution = telegraph_transform_solution = transform_solution
-heat_residual = telegraph_residual = transform_residual
-
-
 # -- reconstruction -----------------------------------------------------------
 
 

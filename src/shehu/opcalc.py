@@ -19,6 +19,9 @@ tanh-sinh rule; numpy's Gauss-Legendre nodes in adaptive panels over
 per-axis atom products on the separable path and, with its Gauss-Laguerre
 nodes, in fixed rules for the convolution law; fracops' tanh-sinh rule on
 the defining integrals of fractional operators) and reported row by row.
+The integral and Caputo rows are data, one table per suite, and one recipe
+builds any row: its frozen coordinates, or their absence, choose between
+forward's tensor rule and the separable path.
 """
 
 from __future__ import annotations
@@ -177,12 +180,14 @@ def boundary_from_quadrature(
     orders: Mapping[str, FracOrder | float],
     transform_axes: Sequence[str] = AXES,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    frozen: Mapping[str, float] | None = None,
 ) -> BoundaryTransforms:
     """Compute every boundary entry the rule will demand, by quadrature.
 
     Derivative traces come from the field's derivative chains; each trace
     is transformed over the remaining transformed axes with the trace
-    certificate of ``fld``.
+    certificate of ``fld``.  Axes outside ``transform_axes`` are held at
+    ``frozen`` (default 0), as in the transform the rule is applied to.
     """
     order_map = _as_order_map(orders)
     diff_axes = [ax for ax in AXES if ax in order_map]
@@ -194,19 +199,15 @@ def boundary_from_quadrature(
                 trace = fld.smooth
                 for ax, i in zip(subset, idx):
                     trace = trace.partial_n(ax, i)
-                frozen = {ax: 0.0 for ax in subset}
+                held = {**(frozen or {}), **dict.fromkeys(subset, 0.0)}
                 rest = [ax for ax in transform_axes if ax not in subset]
                 if not rest:
-                    value = trace(*_point_from(frozen))
+                    value = trace(*(held.get(ax, 0.0) for ax in AXES))
                 else:
                     eo = fld.trace_exp_order(trace)
-                    value = _transform_over(eo, rest, vars, cfg, frozen)
+                    value = _transform_over(eo, rest, vars, cfg, held)
                 out.put(subset, idx, value)
     return out
-
-
-def _point_from(frozen: Mapping[str, float]):
-    return tuple(frozen.get(ax, 0.0) for ax in AXES)
 
 
 def _transform_over(f: ExpOrderFn, axes: Sequence[str], vars, cfg, frozen):
@@ -493,23 +494,17 @@ SUITE_IDS = (
 )
 
 
-def _seeded_ratio_points(
-    rng: np.random.Generator,
-    count: int,
-    min_gap_rates: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> list[RatioPoint]:
+def _seeded_ratio_point(
+    rng: np.random.Generator, min_gap_rates: tuple[float, float, float]
+) -> RatioPoint:
     """Ratio draws in [0.5, 3], redrawn until each exceeds its rate + 0.5."""
-    points = []
-    for _ in range(count):
-        ratios = []
-        for rate in min_gap_rates:
+    ratios = []
+    for rate in min_gap_rates:
+        r = float(rng.uniform(0.5, 3.0))
+        while r < rate + 0.5:
             r = float(rng.uniform(0.5, 3.0))
-            while r < rate + 0.5:
-                r = float(rng.uniform(0.5, 3.0))
-            ratios.append(r)
-        points.append(RatioPoint.from_ratios(*ratios))
-    return points
-
+        ratios.append(r)
+    return RatioPoint.from_ratios(*ratios)
 
 
 def _fractional_image_rates(fld: FieldFn, axis: str) -> tuple[float, float, float]:
@@ -525,189 +520,99 @@ def _fractional_image_rates(fld: FieldFn, axis: str) -> tuple[float, float, floa
     )
 
 
-def _suite_operational_integrals(report: VerificationReport, rng) -> None:
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, tail_cut_tol=1e-12)
+_RULE_CONFIG = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, tail_cut_tol=1e-12)
 
-    # Single-axis rule through forward's tensor rule (2-var instances,
-    # x and t frozen): transform of rl_integral vs scaled transform.
-    for fname, x0 in (("exp-y", 0.4), ("sine-product", 0.3), ("xyt", 0.7)):
+# Rule rows: (row id, field, {axis: order}, frozen coordinates or None).
+# Each row draws its ratio point from the seed in turn, so the order is
+# part of the suite.  A row with frozen coordinates transforms over the
+# remaining axes by forward's tensor rule (one operated axis); a row
+# without takes all three axes on the separable path.
+_INTEGRAL_ROWS = (
+    ("int-1d/exp-y/g0.5", "exp-y", {"y": 0.5}, {"x": 0.4, "t": 0.8}),
+    ("int-1d/exp-y/g1.5", "exp-y", {"y": 1.5}, {"x": 0.4, "t": 0.8}),
+    ("int-1d/sine-product/g0.5", "sine-product", {"y": 0.5}, {"x": 0.3, "t": 0.8}),
+    ("int-1d/sine-product/g1.5", "sine-product", {"y": 1.5}, {"x": 0.3, "t": 0.8}),
+    ("int-1d/xyt/g0.5", "xyt", {"y": 0.5}, {"x": 0.7, "t": 0.8}),
+    ("int-1d/xyt/g1.5", "xyt", {"y": 1.5}, {"x": 0.7, "t": 0.8}),
+    ("int-2d/y/exp-xyt/adaptive", "exp-xyt", {"y": 0.3}, {"t": 0.5}),
+    ("int-2d/x/exp-xyt/adaptive", "exp-xyt", {"x": 0.5}, {"t": 0.5}),
+    ("int-2d/y/sine-product/y0.5", "sine-product", {"y": 0.5}, None),
+    ("int-2d/x/sine-product/x1.5", "sine-product", {"x": 1.5}, None),
+    ("int-2d/xy/exp-xyt/x0.5-y1.5", "exp-xyt", {"x": 0.5, "y": 1.5}, None),
+    ("int-2d/xy/sine-product/x0.3-y0.5", "sine-product", {"x": 0.3, "y": 0.5}, None),
+    ("int-3d/exp-xyt/t0.5", "exp-xyt", {"t": 0.5}, None),
+    ("int-3d/sinpix-expt/t0.3", "sinpix-expt", {"t": 0.3}, None),
+    ("int-3d/xt/t1", "xt", {"t": 1.0}, None),
+    ("int-3d/const/t0.5", "const", {"t": 0.5}, None),
+    ("int-3d/exp-xyt/y0.3", "exp-xyt", {"y": 0.3}, None),
+    ("int-3d/xt/y0.5", "xt", {"y": 0.5}, None),
+    ("int-3d/sine-product/y1.5", "sine-product", {"y": 1.5}, None),
+    ("int-3d/exp-xyt/x0.5", "exp-xyt", {"x": 0.5}, None),
+    ("int-3d/sinpix-expt/x1.5", "sinpix-expt", {"x": 1.5}, None),
+    ("int-3d/xt/x0.3", "xt", {"x": 0.3}, None),
+    ("int-3d/exp-xyt/t1-x0.5-y0.3", "exp-xyt", {"x": 0.5, "y": 0.3, "t": 1.0}, None),
+    ("int-3d/xyt/t0.3-x1.5-y0.5", "xyt", {"x": 1.5, "y": 0.5, "t": 0.3}, None),
+    ("int-3d/const/t0.5-x0.3-y1", "const", {"x": 0.3, "y": 1.0, "t": 0.5}, None),
+    ("int-3d/sinpix-expt/t0.5-x0.5-y0.5", "sinpix-expt",
+     {"x": 0.5, "y": 0.5, "t": 0.5}, None),
+)
+
+_CAPUTO_ROWS = (
+    ("cap-1d/exp-y/g0.5", "exp-y", {"y": 0.5}, {"x": 0.6, "t": 0.9}),
+    ("cap-1d/exp-y/g1.5", "exp-y", {"y": 1.5}, {"x": 0.6, "t": 0.9}),
+    ("cap-1d/sine-product/g0.5", "sine-product", {"y": 0.5}, {"x": 0.6, "t": 0.9}),
+    ("cap-1d/xyt/g0.7", "xyt", {"y": 0.7}, {"x": 0.6, "t": 0.9}),
+    ("cap-2d/exp-xyt/y/g0.5", "exp-xyt", {"y": 0.5}, {"t": 0.5}),
+    ("cap-2d/sine-product/y/g1.5", "sine-product", {"y": 1.5}, {"t": 0.5}),
+    ("cap-2d/exp-xyt/x/g0.7", "exp-xyt", {"x": 0.7}, {"t": 0.5}),
+    ("cap-2d/sine-product/x/g1.2", "sine-product", {"x": 1.2}, {"t": 0.5}),
+    ("cap-3d/t/t/g0.5", "t", {"t": 0.5}, None),
+    ("cap-3d/t-squared/t/g1.5", "t-squared", {"t": 1.5}, None),
+    ("cap-3d/exp-t/t/g0.7", "exp-t", {"t": 0.7}, None),
+    ("cap-3d/exp-t/t/g1.0", "exp-t", {"t": 1.0}, None),
+    ("cap-3d/xt/x/g0.5", "xt", {"x": 0.5}, None),
+    ("cap-3d/exp-xyt/x/g1.5", "exp-xyt", {"x": 1.5}, None),
+    ("cap-3d/xt/y/g0.5", "xt", {"y": 0.5}, None),
+    ("cap-3d/exp-xyt/y/g0.3", "exp-xyt", {"y": 0.3}, None),
+    ("cap-3d-all/xyt", "xyt", {"x": 0.4, "y": 0.6, "t": 0.8}, None),
+    ("cap-3d-all/exp-xyt", "exp-xyt", {"x": 0.4, "y": 0.6, "t": 0.8}, None),
+)
+
+
+def _suite_rules(kind: str, rows, report: VerificationReport, rng) -> None:
+    """Check each row's instance of the ``kind`` ("integral" or "caputo") rule.
+
+    The left side transforms the numeric fractional image (``rl_integral``
+    or ``caputo_derivative`` on its defining integral); the right side
+    applies the closed-form rule to the transform of the field, with
+    Caputo boundary entries by quadrature of the derivative traces.
+    """
+    for row_id, fname, orders, frozen in rows:
         fld = get_field(fname)
-        rates = _fractional_image_rates(fld, "y")
-        pts = _seeded_ratio_points(rng, 2, rates)
-        for gi, gval in enumerate((0.5, 1.5)):
-            vars = pts[gi]
-            frozen = {"x": x0, "t": 0.8}
+        if frozen is None:
+            axes = AXES
+            vars = _seeded_ratio_point(rng, fld.rates)
+            lhs = _sep_transform(fld, vars, {ax: (kind, g) for ax, g in orders.items()})
+            Fhat = _sep_transform(fld, vars)
+        else:
+            axes = tuple(ax for ax in AXES if ax not in frozen)
+            ((axis, g),) = orders.items()
+            rates = _fractional_image_rates(fld, axis)
+            vars = _seeded_ratio_point(rng, rates)
+            op = rl_integral if kind == "integral" else caputo_derivative
 
-            def integ(x, y, t, _f=fld, _g=gval):
-                return rl_integral(_f.smooth, "y", _g, (x, y, t))
+            def image(x, y, t):  # called only within this iteration
+                return op(fld.smooth, axis, g, (x, y, t))
 
-            lhs = shehu_1d(
-                ExpOrderFn(integ, fld.bound * 8.0, rates, vec=integ),
-                "y", vars, cfg, frozen,
-            )
-            rhs = integral_rule(
-                shehu_1d(fld.exp_order(), "y", vars, cfg, frozen), vars, {"y": gval}
-            )
-            report.add(f"int-1d/{fname}/g{gval}", lhs, rhs)
-
-    # Double-transform rules through forward's tensor rule on the decaying field.
-    fld = get_field("exp-xyt")
-    for tag, ax_orders in (("int-2d/y", {"y": 0.3}), ("int-2d/x", {"x": 0.5})):
-        axis, gval = next(iter(ax_orders.items()))
-        rates = _fractional_image_rates(fld, axis)
-        vars = _seeded_ratio_points(rng, 1, rates)[0]
-        frozen = {"t": 0.5}
-
-        def integ(x, y, t, _ax=axis, _g=gval):
-            return rl_integral(fld.smooth, _ax, _g, (x, y, t))
-
-        lhs = shehu_2d(
-            ExpOrderFn(integ, fld.bound * 8.0, rates, vec=integ),
-            ("x", "y"), vars, cfg, frozen,
-        )
-        rhs = integral_rule(
-            shehu_2d(fld.exp_order(), ("x", "y"), vars, cfg, frozen), vars, ax_orders
-        )
-        report.add(f"{tag}/exp-xyt/adaptive", lhs, rhs)
-
-    # Remaining double and triple instances ride the separable path;
-    # fractional integrals stay numeric (rl_integral on the definition).
-    sep_cases = [
-        ("int-2d/y", "sine-product", {"y": ("integral", 0.5)}),
-        ("int-2d/x", "sine-product", {"x": ("integral", 1.5)}),
-        ("int-2d/xy", "exp-xyt", {"x": ("integral", 0.5), "y": ("integral", 1.5)}),
-        ("int-2d/xy", "sine-product", {"x": ("integral", 0.3), "y": ("integral", 0.5)}),
-        ("int-3d", "exp-xyt", {"t": ("integral", 0.5)}),
-        ("int-3d", "sinpix-expt", {"t": ("integral", 0.3)}),
-        ("int-3d", "xt", {"t": ("integral", 1.0)}),
-        ("int-3d", "const", {"t": ("integral", 0.5)}),
-        ("int-3d", "exp-xyt", {"y": ("integral", 0.3)}),
-        ("int-3d", "xt", {"y": ("integral", 0.5)}),
-        ("int-3d", "sine-product", {"y": ("integral", 1.5)}),
-        ("int-3d", "exp-xyt", {"x": ("integral", 0.5)}),
-        ("int-3d", "sinpix-expt", {"x": ("integral", 1.5)}),
-        ("int-3d", "xt", {"x": ("integral", 0.3)}),
-        ("int-3d", "exp-xyt",
-         {"x": ("integral", 0.5), "y": ("integral", 0.3), "t": ("integral", 1.0)}),
-        ("int-3d", "xyt",
-         {"x": ("integral", 1.5), "y": ("integral", 0.5), "t": ("integral", 0.3)}),
-        ("int-3d", "const",
-         {"x": ("integral", 0.3), "y": ("integral", 1.0), "t": ("integral", 0.5)}),
-        ("int-3d", "sinpix-expt",
-         {"x": ("integral", 0.5), "y": ("integral", 0.5), "t": ("integral", 0.5)}),
-    ]
-    for tag, fname, ops in sep_cases:
-        fld = get_field(fname)
-        vars = _seeded_ratio_points(rng, 1, fld.rates)[0]
-        lhs = _sep_transform(fld, vars, ops)
-        orders = {ax: spec[1] for ax, spec in ops.items()}
-        rhs = integral_rule(_sep_transform(fld, vars), vars, orders)
-        order_tag = "-".join(f"{ax}{g:g}" for ax, (_, g) in sorted(ops.items()))
-        report.add(f"{tag}/{fname}/{order_tag}", lhs, rhs)
-
-
-def _suite_operational_derivatives(report: VerificationReport, rng) -> None:
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, tail_cut_tol=1e-12)
-
-    # Single transform over y of a Caputo derivative in y, forward's tensor rule.
-    for fname, gval in (
-        ("exp-y", 0.5),
-        ("exp-y", 1.5),
-        ("sine-product", 0.5),
-        ("xyt", 0.7),
-    ):
-        fld = get_field(fname)
-        rates = _fractional_image_rates(fld, "y")
-        vars = _seeded_ratio_points(rng, 1, rates)[0]
-        frozen = {"x": 0.6, "t": 0.9}
-
-        def deriv(x, y, t, _f=fld, _g=gval):
-            return caputo_derivative(_f.smooth, "y", _g, (x, y, t))
-
-        lhs = shehu_1d(
-            ExpOrderFn(deriv, fld.bound * 8.0, rates, vec=deriv),
-            "y", vars, cfg, frozen,
-        )
-        order = FracOrder(gval)
-        bnd = BoundaryTransforms()
-        trace = fld.smooth
-        for i in range(order.ceil):
-            bnd.put(("y",), (i,), trace.partial_n("y", i)(frozen["x"], 0.0, frozen["t"]))
-        rhs = caputo_rule(
-            shehu_1d(fld.exp_order(), "y", vars, cfg, frozen),
-            vars, {"y": order}, bnd, transform_axes=("y",),
-        )
-        report.add(f"cap-1d/{fname}/g{gval}", lhs, rhs)
-
-    # Double transform over (x, y), one Caputo axis, forward's tensor rule.
-    for fname, axis, gval, tag in (
-        ("exp-xyt", "y", 0.5, "cap-2d"),
-        ("sine-product", "y", 1.5, "cap-2d"),
-        ("exp-xyt", "x", 0.7, "cap-2d"),
-        ("sine-product", "x", 1.2, "cap-2d"),
-    ):
-        fld = get_field(fname)
-        rates = _fractional_image_rates(fld, axis)
-        vars = _seeded_ratio_points(rng, 1, rates)[0]
-        frozen = {"t": 0.5}
-
-        def deriv(x, y, t, _f=fld, _ax=axis, _g=gval):
-            return caputo_derivative(_f.smooth, _ax, _g, (x, y, t))
-
-        lhs = shehu_2d(
-            ExpOrderFn(deriv, fld.bound * 8.0, rates, vec=deriv),
-            ("x", "y"), vars, cfg, frozen,
-        )
-        order = FracOrder(gval)
-        bnd = BoundaryTransforms()
-        other = "y" if axis == "x" else "x"
-        for i in range(order.ceil):
-            trace = fld.smooth.partial_n(axis, i)
-            val = shehu_1d(
-                fld.trace_exp_order(trace), other, vars, cfg,
-                frozen={axis: 0.0, "t": frozen["t"]},
-            )
-            bnd.put((axis,), (i,), val)
-        rhs = caputo_rule(
-            shehu_2d(fld.exp_order(), ("x", "y"), vars, cfg, frozen),
-            vars, {axis: order}, bnd, transform_axes=("x", "y"),
-        )
-        report.add(f"{tag}/{fname}/{axis}/g{gval}", lhs, rhs)
-
-    # Triple-transform single-axis Caputo rules on the separable path;
-    # boundary transforms by forward's tensor rule.
-    sep_cases = [
-        ("cap-3d", "t", "t", 0.5),
-        ("cap-3d", "t-squared", "t", 1.5),
-        ("cap-3d", "exp-t", "t", 0.7),
-        ("cap-3d", "exp-t", "t", 1.0),
-        ("cap-3d", "xt", "x", 0.5),
-        ("cap-3d", "exp-xyt", "x", 1.5),
-        ("cap-3d", "xt", "y", 0.5),
-        ("cap-3d", "exp-xyt", "y", 0.3),
-    ]
-    for tag, fname, axis, gval in sep_cases:
-        fld = get_field(fname)
-        vars = _seeded_ratio_points(rng, 1, fld.rates)[0]
-        lhs = _sep_transform(fld, vars, {axis: ("caputo", gval)})
-        bnd = boundary_from_quadrature(fld, vars, {axis: gval}, AXES, cfg)
-        rhs = caputo_rule(
-            _sep_transform(fld, vars), vars, {axis: gval}, bnd, transform_axes=AXES
-        )
-        report.add(f"{tag}/{fname}/{axis}/g{gval}", lhs, rhs)
-
-    # Full triple-axis rule (consistent-exponent form), orders in (0, 1).
-    for fname in ("xyt", "exp-xyt"):
-        fld = get_field(fname)
-        vars = _seeded_ratio_points(rng, 1, fld.rates)[0]
-        orders3 = {"x": 0.4, "y": 0.6, "t": 0.8}
-        ops = {ax: ("caputo", g) for ax, g in orders3.items()}
-        lhs = _sep_transform(fld, vars, ops)
-        bnd = boundary_from_quadrature(fld, vars, orders3, AXES, cfg)
-        rhs = caputo_rule(
-            _sep_transform(fld, vars), vars, orders3, bnd, transform_axes=AXES
-        )
-        report.add(f"cap-3d-all/{fname}", lhs, rhs)
+            image_eo = ExpOrderFn(image, fld.bound * 8.0, rates, vec=image)
+            lhs = _transform_over(image_eo, axes, vars, _RULE_CONFIG, frozen)
+            Fhat = _transform_over(fld.exp_order(), axes, vars, _RULE_CONFIG, frozen)
+        if kind == "integral":
+            rhs = integral_rule(Fhat, vars, orders)
+        else:
+            bnd = boundary_from_quadrature(fld, vars, orders, axes, _RULE_CONFIG, frozen)
+            rhs = caputo_rule(Fhat, vars, orders, bnd, transform_axes=axes)
+        report.add(row_id, lhs, rhs)
 
 
 def _tensor_transform(fn, vars: RatioPoint, n: int = 20) -> float:
@@ -803,8 +708,8 @@ def _suite_roundtrip(report: VerificationReport, rng) -> None:
 
 
 _SUITES = {
-    "operational-integrals": _suite_operational_integrals,
-    "operational-derivatives": _suite_operational_derivatives,
+    "operational-integrals": partial(_suite_rules, "integral", _INTEGRAL_ROWS),
+    "operational-derivatives": partial(_suite_rules, "caputo", _CAPUTO_ROWS),
     "convolution": _suite_convolution,
     "ml-kernel": _suite_ml_kernel,
     "roundtrip": _suite_roundtrip,

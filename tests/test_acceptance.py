@@ -26,13 +26,11 @@ from shehu.forward import (
 from shehu.fpde import (
     HeatSpec,
     TelegraphSpec,
-    heat_residual,
-    heat_transform_solution,
     reconstruct,
     series_solution_heat,
     series_solution_telegraph,
-    telegraph_residual,
-    telegraph_transform_solution,
+    transform_residual,
+    transform_solution,
 )
 from shehu.funclib import get_field, ml_kernel_field, power_field
 from shehu.inverse import InversionConfig, invert_1d, invert_3d
@@ -194,15 +192,15 @@ def test_a7_transform_domain_solutions():
 
         for g in (0.3, 0.5, 0.7, 1.0):
             spec = HeatSpec(gamma=g)
-            F = heat_transform_solution(spec)
+            F = transform_solution(spec)
             for pt in points():
-                assert heat_residual(spec, F, pt) <= 1e-10
+                assert transform_residual(spec, F, pt) <= 1e-10
         for g in (0.5, 0.9, 1.0):
             for a, b in ((0.5, 1.0), (1.0, 2.0)):
                 spec = TelegraphSpec(gamma=g, alpha=a, beta=b)
-                F = telegraph_transform_solution(spec)
+                F = transform_solution(spec)
                 for pt in points():
-                    assert telegraph_residual(spec, F, pt) <= 1e-10
+                    assert transform_residual(spec, F, pt) <= 1e-10
 
 
 def test_a8_reconstruction_vs_fd_oracle(tmp_path):
@@ -217,7 +215,7 @@ def test_a8_reconstruction_vs_fd_oracle(tmp_path):
     with _Gate("A8", 600.0):
         xs = (0.2, 0.4, 0.6, 0.8)
         ts = (0.25, 0.5, 0.75, 1.0)
-        F = heat_transform_solution(HeatSpec(gamma=1.0))
+        F = transform_solution(HeatSpec(gamma=1.0))
         field = reconstruct(F, xs, xs, ts, InversionConfig(nodes=24))
         assert field.nonfinite_count == 0
 

@@ -142,6 +142,38 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--relation", "strict", "--mode", "reconstruct", "--grid-n", "1"),
+         "--relation applies only to --mode residual"),
+        (("--relation", "strict", "--mode", "series"),
+         "--relation applies only to --mode residual"),
+        (("--truncation", "3", "--mode", "residual"),
+         "--truncation applies only to --mode series"),
+        (("--residual-tol", "1e-3", "--mode", "series"),
+         "--residual-tol applies only to --mode residual"),
+    ])
+    def test_flag_outside_its_mode_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "solve", "heat", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("gamma, worst", [("0.9", 30.5), ("0.4", 272.9)])
+    def test_strict_relation_is_reported_not_judged(self, capsys, gamma, worst):
+        """The strict relation does not vanish, so it prints and exits 0;
+        a tolerance beside it is refused."""
+        argv = ("solve", "telegraph", "--gamma", gamma, "--alpha", "1.3",
+                "--beta", "1.8", "--seed", "7", "--relation", "strict")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "p,q,s,residual" and len(lines) == 22
+        assert round(float(lines[-1].split("=")[1]), 1) == worst
+        code, out, err = run(capsys, *argv, "--residual-tol", "1e3")
+        assert code == 2
+        assert out == ""
+        assert "--residual-tol does not apply to --relation strict" in err
+
     def test_series_mode(self, capsys):
         code, out, _ = run(
             capsys, "solve", "heat", "--gamma", "0.6", "--mode", "series",

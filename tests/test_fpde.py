@@ -22,13 +22,9 @@ from shehu.fpde import (
     TelegraphSpec,
     TransformSolution,
     binomial_series,
-    heat_residual,
-    heat_transform_solution,
     reconstruct,
     series_solution_heat,
     series_solution_telegraph,
-    telegraph_residual,
-    telegraph_transform_solution,
     transform_residual,
     transform_solution,
 )
@@ -41,7 +37,7 @@ PI2 = PI * PI
 class TestHeatSolution:
     def test_golden_point(self):
         """Direct arithmetic of the three-term expression at (2, 1, 1), g=1."""
-        F = heat_transform_solution(HeatSpec(gamma=1.0))
+        F = transform_solution(HeatSpec(gamma=1.0))
         dd = PI2 - 4.0 - 1.0
         term1 = PI ** 4 / ((4.0 + PI2) * (1.0 + PI2) * dd)
         term2 = PI * 2.0 / (1.0 * 2.0 * dd)
@@ -54,12 +50,12 @@ class TestHeatSolution:
         assert_allclose(-term3, 0.645143, atol=5e-7)
 
     def test_singular_locus_unit_p(self):
-        F = heat_transform_solution(HeatSpec(gamma=1.0))
+        F = transform_solution(HeatSpec(gamma=1.0))
         with pytest.raises(SingularDenominator):
             F(1.0, 1.0, 1.0)
 
     def test_singular_locus_main_denominator(self):
-        F = heat_transform_solution(HeatSpec(gamma=1.0))
+        F = transform_solution(HeatSpec(gamma=1.0))
         with pytest.raises(SingularDenominator):
             F(1.0 + 1e-15, 1.0, 2.0 / PI2 * (1.0 + 1e-15))
 
@@ -70,35 +66,35 @@ class TestHeatSolution:
     def test_strict_relation_refused(self):
         spec = HeatSpec(gamma=0.7)
         with pytest.raises(ValueError, match="no residual mode 'strict' for HeatSpec"):
-            heat_residual(spec, heat_transform_solution(spec), (2.0, 1.0, 1.0),
-                          mode="strict")
+            transform_residual(spec, transform_solution(spec), (2.0, 1.0, 1.0),
+                               mode="strict")
 
     @pytest.mark.parametrize("g", [0.3, 0.5, 0.7, 1.0])
     def test_residual_vanishes(self, g):
         spec = HeatSpec(gamma=g)
-        F = heat_transform_solution(spec)
+        F = transform_solution(spec)
         rng = np.random.default_rng(17)
         for _ in range(20):
             p, q, s = rng.uniform(1.2, 3.0, size=3)
             if abs(p - 1.0) < 0.05:
                 continue
-            assert heat_residual(spec, F, (p, q, s)) <= 1e-10
+            assert transform_residual(spec, F, (p, q, s)) <= 1e-10
 
     def test_perturbed_solution_fails_relation(self):
         spec = HeatSpec(gamma=0.7)
-        F = heat_transform_solution(spec)
+        F = transform_solution(spec)
         F_bad = TransformSolution(
             evaluator=lambda p, q, s: 1.01 * F(p, q, s),
             singular_loci=F.singular_loci,
         )
-        assert heat_residual(spec, F_bad, (2.0, 1.0, 1.0)) > 1e-4
+        assert transform_residual(spec, F_bad, (2.0, 1.0, 1.0)) > 1e-4
 
 
 class TestTelegraphSolution:
     def test_golden_point(self):
         """Terms at (2, 2, 1) with g=1, a=1/2, b=1: D = -5."""
         spec = TelegraphSpec(gamma=1.0, alpha=0.5, beta=1.0)
-        F = telegraph_transform_solution(spec)
+        F = transform_solution(spec)
         dd = 2.0 + 1.0 - 4.0 - 4.0
         assert dd == -5.0
         term1 = 2.0 / (2.0 * 3.0 * dd)
@@ -112,7 +108,7 @@ class TestTelegraphSolution:
 
     def test_singular_loci(self):
         spec = TelegraphSpec(gamma=1.0, alpha=0.5, beta=1.0)
-        F = telegraph_transform_solution(spec)
+        F = transform_solution(spec)
         with pytest.raises(SingularDenominator):
             F(1.0, 2.0, 1.0)  # p^g = 1
         with pytest.raises(SingularDenominator):
@@ -128,22 +124,22 @@ class TestTelegraphSolution:
     @pytest.mark.parametrize("ab", [(0.5, 1.0), (1.0, 2.0)])
     def test_residual_vanishes_printed_mode(self, g, ab):
         spec = TelegraphSpec(gamma=g, alpha=ab[0], beta=ab[1])
-        F = telegraph_transform_solution(spec)
+        F = transform_solution(spec)
         rng = np.random.default_rng(23)
         for _ in range(20):
             p, q, s = rng.uniform(1.2, 3.0, size=3)
             if abs(p - 1.0) < 0.05:
                 continue
-            assert telegraph_residual(spec, F, (p, q, s)) <= 1e-10
+            assert transform_residual(spec, F, (p, q, s)) <= 1e-10
 
     def test_perturbed_solution_fails_relation(self):
         spec = TelegraphSpec(gamma=0.9, alpha=0.5, beta=1.0)
-        F = telegraph_transform_solution(spec)
+        F = transform_solution(spec)
         F_bad = TransformSolution(
             evaluator=lambda p, q, s: 1.01 * F(p, q, s),
             singular_loci=F.singular_loci,
         )
-        assert telegraph_residual(spec, F_bad, (2.0, 2.0, 1.0)) > 1e-4
+        assert transform_residual(spec, F_bad, (2.0, 2.0, 1.0)) > 1e-4
 
     def test_strict_mode_differs_from_printed(self):
         """The uncollapsed time operator does not vanish on the printed F.
@@ -152,10 +148,10 @@ class TestTelegraphSolution:
         s^(2g) + 2a s^g into (1+2a) s^g, which only coincides at s = 1.
         """
         spec = TelegraphSpec(gamma=0.5, alpha=0.5, beta=1.0)
-        F = telegraph_transform_solution(spec)
+        F = transform_solution(spec)
         pt = (2.0, 2.0, 2.0)
-        printed = telegraph_residual(spec, F, pt, mode="printed")
-        strict = telegraph_residual(spec, F, pt, mode="strict")
+        printed = transform_residual(spec, F, pt, mode="printed")
+        strict = transform_residual(spec, F, pt, mode="strict")
         assert printed <= 1e-12
         assert strict > 1e-3
 
@@ -385,8 +381,8 @@ class TestReconstructThreads:
     @pytest.mark.parametrize("name", ["heat", "telegraph", "separable", "singular"])
     def test_matches_serial_loop(self, name, m, monkeypatch):
         F = {
-            "heat": heat_transform_solution(HeatSpec(gamma=0.7)),
-            "telegraph": telegraph_transform_solution(
+            "heat": transform_solution(HeatSpec(gamma=0.7)),
+            "telegraph": transform_solution(
                 TelegraphSpec(gamma=0.9, alpha=0.5, beta=1.0)),
             "separable": TransformSolution(_separable, ()),
             "singular": TransformSolution(_fake_singular, ("Re p > 12",)),

@@ -13,8 +13,7 @@ from shehu.forward import RatioPoint, shehu_3d
 from shehu.fpde import (
     HeatSpec,
     TelegraphSpec,
-    heat_transform_solution,
-    telegraph_transform_solution,
+    transform_solution,
 )
 from shehu.funclib import get_field
 from shehu.inverse import (
@@ -281,8 +280,8 @@ class TestInvert3D:
         slabs leave a remainder at both m.
         """
         F = {
-            "heat": heat_transform_solution(HeatSpec(gamma=0.7)).evaluator,
-            "telegraph": telegraph_transform_solution(
+            "heat": transform_solution(HeatSpec(gamma=0.7)).evaluator,
+            "telegraph": transform_solution(
                 TelegraphSpec(gamma=0.9, alpha=0.5, beta=1.0)).evaluator,
             "separable": lambda p, q, s: 1.0 / ((p + 0.5) * (q + 1.5) * (s + 1.0)),
         }[name]
@@ -358,11 +357,11 @@ class TestInvert3D:
 
 
 MIRRORED_3D = {
-    **{f"heat-{g}": heat_transform_solution(HeatSpec(gamma=g)).evaluator
+    **{f"heat-{g}": transform_solution(HeatSpec(gamma=g)).evaluator
        for g in (0.35, 0.7, 1.0)},
-    "telegraph-0.9": telegraph_transform_solution(
+    "telegraph-0.9": transform_solution(
         TelegraphSpec(gamma=0.9, alpha=0.5, beta=1.0)).evaluator,
-    "telegraph-0.4": telegraph_transform_solution(
+    "telegraph-0.4": transform_solution(
         TelegraphSpec(gamma=0.4, alpha=1.3, beta=1.8)).evaluator,
     "separable": lambda p, q, s: 1.0 / ((p + 0.5) * (q + 1.5) * (s + 1.0)),
 }
@@ -493,7 +492,7 @@ class TestRowSumAccuracy:
     @pytest.mark.parametrize("name, m", [("a8", 24), ("separable", 24), ("separable", 32)])
     def test_3d(self, name, m):
         F, points = {
-            "a8": (heat_transform_solution(HeatSpec(gamma=1.0)).evaluator, A8_POINTS),
+            "a8": (transform_solution(HeatSpec(gamma=1.0)).evaluator, A8_POINTS),
             "separable": (lambda p, q, s: 1.0 / ((p + 0.5) * (q + 1.5) * (s + 1.0)),
                           SEPARABLE_POINTS),
         }[name]
@@ -517,7 +516,7 @@ class TestRowSumAccuracy:
     def test_peak_memory_of_one_node(self):
         """No (2m)^3 value grid is kept: at m = 32 it alone took
         64^3 * 16 B = 4.2 MB, while one node now peaks under 2 MB."""
-        F = heat_transform_solution(HeatSpec(gamma=0.7)).evaluator
+        F = transform_solution(HeatSpec(gamma=0.7)).evaluator
         cfg = InversionConfig(nodes=32)
         invert_3d(F, (0.75, 0.5, 1.0), cfg)
         tracemalloc.start()

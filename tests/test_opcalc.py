@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -11,13 +12,14 @@ from scipy.special import roots_laguerre
 
 from shehu import forward, fracops, opcalc
 from shehu.errors import MissingBoundary, QuadratureError, UnknownSuite
-from shehu.forward import QuadratureConfig, RatioPoint, shehu_3d
-from shehu.fracops import AXES, SmoothFn, rl_integral
+from shehu.forward import ExpOrderFn, QuadratureConfig, RatioPoint, shehu_3d
+from shehu.fracops import AXES, FracOrder, SmoothFn, caputo_derivative, rl_integral
 from shehu.funclib import catalog, get_field
 from shehu.opcalc import (
     BoundaryTransforms,
     _axis_transform,
     _conv1d_transform,
+    _fractional_image_rates,
     _gauss_rule,
     _on_axis,
     _panel_transform,
@@ -31,6 +33,10 @@ from shehu.opcalc import (
 )
 
 UNIT = RatioPoint.from_ratios(1.0, 1.0, 1.0)
+
+
+def _bits(bnd: BoundaryTransforms) -> dict:
+    return {key: float(value).hex() for key, value in bnd.entries.items()}
 
 
 class TestIntegralRule:
@@ -116,6 +122,55 @@ class TestCaputoRule:
         assert len(bnd.entries) == 7
         got = caputo_rule(0.125, UNIT, orders, bnd)
         assert math.isfinite(complex(got).real)
+
+    def test_boundary_with_frozen_axes_matches_hand_built(self):
+        """``frozen`` holds the untransformed axes where the rule's transform
+        holds them: trace values for a 1-D rule, 1-D trace transforms for a
+        2-D one, equal bit for bit to the entries built by hand."""
+        cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, tail_cut_tol=1e-12)
+        vars = RatioPoint.from_ratios(1.9, 2.3, 2.7)
+        for fname in ("exp-y", "sine-product", "xyt"):
+            fld = get_field(fname)
+            frozen = {"x": 0.6, "t": 0.9}
+            hand = BoundaryTransforms()
+            for i in range(2):
+                hand.put(("y",), (i,), fld.smooth.partial_n("y", i)(0.6, 0.0, 0.9))
+            got = boundary_from_quadrature(fld, vars, {"y": 1.5}, ("y",), cfg, frozen)
+            assert _bits(got) == _bits(hand)
+        for fname, axis, other in (("exp-xyt", "y", "x"), ("sine-product", "x", "y")):
+            fld = get_field(fname)
+            hand = BoundaryTransforms()
+            for i in range(2):
+                trace = fld.smooth.partial_n(axis, i)
+                hand.put((axis,), (i,), forward.shehu_1d(
+                    fld.trace_exp_order(trace), other, vars, cfg,
+                    frozen={axis: 0.0, "t": 0.5}))
+            got = boundary_from_quadrature(fld, vars, {axis: 1.2}, ("x", "y"), cfg,
+                                           {"t": 0.5})
+            assert _bits(got) == _bits(hand)
+
+    def test_boundary_without_frozen_axes_unchanged(self):
+        """``frozen=None`` holds only the boundary axes, at zero."""
+        fld = get_field("exp-xyt")
+        orders = {"x": 0.4, "y": 0.6, "t": 0.8}
+        vars = RatioPoint.from_ratios(1.9, 2.3, 2.7)
+        hand = BoundaryTransforms()
+        for r in (1, 2, 3):
+            for subset in itertools.combinations(AXES, r):
+                held = {ax: 0.0 for ax in subset}
+                rest = [ax for ax in AXES if ax not in subset]
+                eo = fld.trace_exp_order(fld.smooth)
+                if len(rest) == 2:
+                    value = forward.shehu_2d(eo, tuple(rest), vars, frozen=held)
+                elif len(rest) == 1:
+                    value = forward.shehu_1d(eo, rest[0], vars, frozen=held)
+                else:
+                    value = fld.smooth(0.0, 0.0, 0.0)
+                hand.put(subset, (0,) * r, value)
+        assert _bits(boundary_from_quadrature(fld, vars, orders)) == _bits(hand)
+        got = boundary_from_quadrature(fld, vars, orders, AXES, forward.DEFAULT_QUADRATURE,
+                                       None)
+        assert _bits(got) == _bits(hand)
 
     def test_diff_axis_must_be_transformed(self):
         with pytest.raises(ValueError):
@@ -303,3 +358,235 @@ class TestVerifySuites:
         rep = verify_suite("convolution", 1e-5, 42)
         assert rep.passed, [r for r in rep.rows if not r.passed]
         assert len(rep.rows) == 6
+
+
+# -- reference: the two rule suites as hand-written loops -----------------------
+#
+# A literal copy of the loops the row tables replaced, kept as the reference
+# that pins every row's id and both sides bit for bit.
+
+
+def _ref_seeded_ratio_points(rng, count, min_gap_rates=(0.0, 0.0, 0.0)):
+    points = []
+    for _ in range(count):
+        ratios = []
+        for rate in min_gap_rates:
+            r = float(rng.uniform(0.5, 3.0))
+            while r < rate + 0.5:
+                r = float(rng.uniform(0.5, 3.0))
+            ratios.append(r)
+        points.append(RatioPoint.from_ratios(*ratios))
+    return points
+
+
+def _ref_suite_operational_integrals(report, rng):
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, tail_cut_tol=1e-12)
+
+    for fname, x0 in (("exp-y", 0.4), ("sine-product", 0.3), ("xyt", 0.7)):
+        fld = get_field(fname)
+        rates = _fractional_image_rates(fld, "y")
+        pts = _ref_seeded_ratio_points(rng, 2, rates)
+        for gi, gval in enumerate((0.5, 1.5)):
+            vars = pts[gi]
+            frozen = {"x": x0, "t": 0.8}
+
+            def integ(x, y, t, _f=fld, _g=gval):
+                return rl_integral(_f.smooth, "y", _g, (x, y, t))
+
+            lhs = forward.shehu_1d(
+                ExpOrderFn(integ, fld.bound * 8.0, rates, vec=integ),
+                "y", vars, cfg, frozen,
+            )
+            rhs = integral_rule(
+                forward.shehu_1d(fld.exp_order(), "y", vars, cfg, frozen), vars, {"y": gval}
+            )
+            report.add(f"int-1d/{fname}/g{gval}", lhs, rhs)
+
+    fld = get_field("exp-xyt")
+    for tag, ax_orders in (("int-2d/y", {"y": 0.3}), ("int-2d/x", {"x": 0.5})):
+        axis, gval = next(iter(ax_orders.items()))
+        rates = _fractional_image_rates(fld, axis)
+        vars = _ref_seeded_ratio_points(rng, 1, rates)[0]
+        frozen = {"t": 0.5}
+
+        def integ(x, y, t, _ax=axis, _g=gval):
+            return rl_integral(fld.smooth, _ax, _g, (x, y, t))
+
+        lhs = forward.shehu_2d(
+            ExpOrderFn(integ, fld.bound * 8.0, rates, vec=integ),
+            ("x", "y"), vars, cfg, frozen,
+        )
+        rhs = integral_rule(
+            forward.shehu_2d(fld.exp_order(), ("x", "y"), vars, cfg, frozen), vars, ax_orders
+        )
+        report.add(f"{tag}/exp-xyt/adaptive", lhs, rhs)
+
+    sep_cases = [
+        ("int-2d/y", "sine-product", {"y": ("integral", 0.5)}),
+        ("int-2d/x", "sine-product", {"x": ("integral", 1.5)}),
+        ("int-2d/xy", "exp-xyt", {"x": ("integral", 0.5), "y": ("integral", 1.5)}),
+        ("int-2d/xy", "sine-product", {"x": ("integral", 0.3), "y": ("integral", 0.5)}),
+        ("int-3d", "exp-xyt", {"t": ("integral", 0.5)}),
+        ("int-3d", "sinpix-expt", {"t": ("integral", 0.3)}),
+        ("int-3d", "xt", {"t": ("integral", 1.0)}),
+        ("int-3d", "const", {"t": ("integral", 0.5)}),
+        ("int-3d", "exp-xyt", {"y": ("integral", 0.3)}),
+        ("int-3d", "xt", {"y": ("integral", 0.5)}),
+        ("int-3d", "sine-product", {"y": ("integral", 1.5)}),
+        ("int-3d", "exp-xyt", {"x": ("integral", 0.5)}),
+        ("int-3d", "sinpix-expt", {"x": ("integral", 1.5)}),
+        ("int-3d", "xt", {"x": ("integral", 0.3)}),
+        ("int-3d", "exp-xyt",
+         {"x": ("integral", 0.5), "y": ("integral", 0.3), "t": ("integral", 1.0)}),
+        ("int-3d", "xyt",
+         {"x": ("integral", 1.5), "y": ("integral", 0.5), "t": ("integral", 0.3)}),
+        ("int-3d", "const",
+         {"x": ("integral", 0.3), "y": ("integral", 1.0), "t": ("integral", 0.5)}),
+        ("int-3d", "sinpix-expt",
+         {"x": ("integral", 0.5), "y": ("integral", 0.5), "t": ("integral", 0.5)}),
+    ]
+    for tag, fname, ops in sep_cases:
+        fld = get_field(fname)
+        vars = _ref_seeded_ratio_points(rng, 1, fld.rates)[0]
+        lhs = _sep_transform(fld, vars, ops)
+        orders = {ax: spec[1] for ax, spec in ops.items()}
+        rhs = integral_rule(_sep_transform(fld, vars), vars, orders)
+        order_tag = "-".join(f"{ax}{g:g}" for ax, (_, g) in sorted(ops.items()))
+        report.add(f"{tag}/{fname}/{order_tag}", lhs, rhs)
+
+
+def _ref_suite_operational_derivatives(report, rng):
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, tail_cut_tol=1e-12)
+
+    for fname, gval in (
+        ("exp-y", 0.5),
+        ("exp-y", 1.5),
+        ("sine-product", 0.5),
+        ("xyt", 0.7),
+    ):
+        fld = get_field(fname)
+        rates = _fractional_image_rates(fld, "y")
+        vars = _ref_seeded_ratio_points(rng, 1, rates)[0]
+        frozen = {"x": 0.6, "t": 0.9}
+
+        def deriv(x, y, t, _f=fld, _g=gval):
+            return caputo_derivative(_f.smooth, "y", _g, (x, y, t))
+
+        lhs = forward.shehu_1d(
+            ExpOrderFn(deriv, fld.bound * 8.0, rates, vec=deriv),
+            "y", vars, cfg, frozen,
+        )
+        order = FracOrder(gval)
+        bnd = BoundaryTransforms()
+        trace = fld.smooth
+        for i in range(order.ceil):
+            bnd.put(("y",), (i,), trace.partial_n("y", i)(frozen["x"], 0.0, frozen["t"]))
+        rhs = caputo_rule(
+            forward.shehu_1d(fld.exp_order(), "y", vars, cfg, frozen),
+            vars, {"y": order}, bnd, transform_axes=("y",),
+        )
+        report.add(f"cap-1d/{fname}/g{gval}", lhs, rhs)
+
+    for fname, axis, gval, tag in (
+        ("exp-xyt", "y", 0.5, "cap-2d"),
+        ("sine-product", "y", 1.5, "cap-2d"),
+        ("exp-xyt", "x", 0.7, "cap-2d"),
+        ("sine-product", "x", 1.2, "cap-2d"),
+    ):
+        fld = get_field(fname)
+        rates = _fractional_image_rates(fld, axis)
+        vars = _ref_seeded_ratio_points(rng, 1, rates)[0]
+        frozen = {"t": 0.5}
+
+        def deriv(x, y, t, _f=fld, _ax=axis, _g=gval):
+            return caputo_derivative(_f.smooth, _ax, _g, (x, y, t))
+
+        lhs = forward.shehu_2d(
+            ExpOrderFn(deriv, fld.bound * 8.0, rates, vec=deriv),
+            ("x", "y"), vars, cfg, frozen,
+        )
+        order = FracOrder(gval)
+        bnd = BoundaryTransforms()
+        other = "y" if axis == "x" else "x"
+        for i in range(order.ceil):
+            trace = fld.smooth.partial_n(axis, i)
+            val = forward.shehu_1d(
+                fld.trace_exp_order(trace), other, vars, cfg,
+                frozen={axis: 0.0, "t": frozen["t"]},
+            )
+            bnd.put((axis,), (i,), val)
+        rhs = caputo_rule(
+            forward.shehu_2d(fld.exp_order(), ("x", "y"), vars, cfg, frozen),
+            vars, {axis: order}, bnd, transform_axes=("x", "y"),
+        )
+        report.add(f"{tag}/{fname}/{axis}/g{gval}", lhs, rhs)
+
+    sep_cases = [
+        ("cap-3d", "t", "t", 0.5),
+        ("cap-3d", "t-squared", "t", 1.5),
+        ("cap-3d", "exp-t", "t", 0.7),
+        ("cap-3d", "exp-t", "t", 1.0),
+        ("cap-3d", "xt", "x", 0.5),
+        ("cap-3d", "exp-xyt", "x", 1.5),
+        ("cap-3d", "xt", "y", 0.5),
+        ("cap-3d", "exp-xyt", "y", 0.3),
+    ]
+    for tag, fname, axis, gval in sep_cases:
+        fld = get_field(fname)
+        vars = _ref_seeded_ratio_points(rng, 1, fld.rates)[0]
+        lhs = _sep_transform(fld, vars, {axis: ("caputo", gval)})
+        bnd = boundary_from_quadrature(fld, vars, {axis: gval}, AXES, cfg)
+        rhs = caputo_rule(
+            _sep_transform(fld, vars), vars, {axis: gval}, bnd, transform_axes=AXES
+        )
+        report.add(f"{tag}/{fname}/{axis}/g{gval}", lhs, rhs)
+
+    for fname in ("xyt", "exp-xyt"):
+        fld = get_field(fname)
+        vars = _ref_seeded_ratio_points(rng, 1, fld.rates)[0]
+        orders3 = {"x": 0.4, "y": 0.6, "t": 0.8}
+        ops = {ax: ("caputo", g) for ax, g in orders3.items()}
+        lhs = _sep_transform(fld, vars, ops)
+        bnd = boundary_from_quadrature(fld, vars, orders3, AXES, cfg)
+        rhs = caputo_rule(
+            _sep_transform(fld, vars), vars, orders3, bnd, transform_axes=AXES
+        )
+        report.add(f"cap-3d-all/{fname}", lhs, rhs)
+
+
+RULE_ROW_IDS = {
+    "operational-integrals": [
+        "int-1d/exp-y/g0.5", "int-1d/exp-y/g1.5", "int-1d/sine-product/g0.5",
+        "int-1d/sine-product/g1.5", "int-1d/xyt/g0.5", "int-1d/xyt/g1.5",
+        "int-2d/y/exp-xyt/adaptive", "int-2d/x/exp-xyt/adaptive",
+        "int-2d/y/sine-product/y0.5", "int-2d/x/sine-product/x1.5",
+        "int-2d/xy/exp-xyt/x0.5-y1.5", "int-2d/xy/sine-product/x0.3-y0.5",
+        "int-3d/exp-xyt/t0.5", "int-3d/sinpix-expt/t0.3", "int-3d/xt/t1",
+        "int-3d/const/t0.5", "int-3d/exp-xyt/y0.3", "int-3d/xt/y0.5",
+        "int-3d/sine-product/y1.5", "int-3d/exp-xyt/x0.5", "int-3d/sinpix-expt/x1.5",
+        "int-3d/xt/x0.3", "int-3d/exp-xyt/t1-x0.5-y0.3", "int-3d/xyt/t0.3-x1.5-y0.5",
+        "int-3d/const/t0.5-x0.3-y1", "int-3d/sinpix-expt/t0.5-x0.5-y0.5",
+    ],
+    "operational-derivatives": [
+        "cap-1d/exp-y/g0.5", "cap-1d/exp-y/g1.5", "cap-1d/sine-product/g0.5",
+        "cap-1d/xyt/g0.7", "cap-2d/exp-xyt/y/g0.5", "cap-2d/sine-product/y/g1.5",
+        "cap-2d/exp-xyt/x/g0.7", "cap-2d/sine-product/x/g1.2", "cap-3d/t/t/g0.5",
+        "cap-3d/t-squared/t/g1.5", "cap-3d/exp-t/t/g0.7", "cap-3d/exp-t/t/g1.0",
+        "cap-3d/xt/x/g0.5", "cap-3d/exp-xyt/x/g1.5", "cap-3d/xt/y/g0.5",
+        "cap-3d/exp-xyt/y/g0.3", "cap-3d-all/xyt", "cap-3d-all/exp-xyt",
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(RULE_ROW_IDS))
+def test_rule_rows_match_hand_written_loops(suite):
+    """The row tables and their one recipe reproduce the hand-written loops:
+    same ids in the same order, and both sides of every row equal."""
+    got = verify_suite(suite, 1e-5, 42)
+    ref = opcalc.VerificationReport(suite, 1e-5, 42)
+    reference = {"operational-integrals": _ref_suite_operational_integrals,
+                 "operational-derivatives": _ref_suite_operational_derivatives}[suite]
+    reference(ref, np.random.default_rng(42))
+    assert [r.id for r in got.rows] == RULE_ROW_IDS[suite]
+    assert [(r.id, r.lhs, r.rhs) for r in got.rows] == [
+        (r.id, r.lhs, r.rhs) for r in ref.rows]
