@@ -13,9 +13,9 @@ the box is integrated by the tensor product of the order-1 tanh-sinh
 nodes of ``fracops._ts_rule``, scaled to each U and weighted by
 exp(-ratio u).  The double-exponential clustering of those nodes at both
 ends of each axis absorbs an integrable singularity of f at u = 0.  Each
-level halves the step and evaluates only the grid points it adds, through
-``ExpOrderFn.array`` in blocks of at most 2^16 values; the transform is
-the first level that agrees with the one before it to
+level halves the step and evaluates only the grid points it adds, by one
+``ExpOrderFn.array`` call per block of at most 2^16 values; the transform
+is the first level that agrees with the one before it to
 max(abs_tol, rel_tol |I|), and ``QuadratureError`` is raised when no
 level does.
 """
@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DivergenceError, DomainError, QuadratureError
-from .fracops import _BLOCK, _H0, _MAX_LEVEL, AXES, _pointwise, _ts_rule
+from .fracops import _BLOCK, _H0, _MAX_LEVEL, AXES, _ts_rule, _values
 from .specfun import MLParams
 quad = None  # nothing here calls it; perfbench's tracer patches this name
 
@@ -101,24 +101,20 @@ class ExpOrderFn:
     """A callable field carrying an exponential-order certificate.
 
     The certificate asserts |fn(x, y, t)| <= bound * exp(rates . (x, y, t));
-    it drives the truncation of every semi-infinite integral.  ``vec`` is
-    an optional evaluator of the same field on numpy arrays that broadcast
-    together; ``array`` uses it, or calls ``fn`` point by point without it.
+    it drives the truncation of every semi-infinite integral.  ``fn`` is a
+    field as in ``fracops``: a callable on broadcast numpy arrays.
     """
 
-    fn: Callable[[float, float, float], float]
+    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     bound: float
     rates: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    vec: Callable | None = None
 
-    def __call__(self, x: float, y: float, t: float) -> float:
+    def __call__(self, x, y, t):
         return self.fn(x, y, t)
 
     def array(self, x, y, t) -> np.ndarray:
-        """Values on broadcast arrays, returned at the full broadcast shape."""
-        if self.vec is None:
-            return _pointwise(self.fn, x, y, t)
-        return np.broadcast_to(self.vec(x, y, t), np.broadcast(x, y, t).shape)
+        """Float values at the broadcast shape; DomainError if they do not broadcast."""
+        return _values(self.fn, x, y, t)
 
     def rate(self, axis: str) -> float:
         return self.rates[AXES.index(axis)]
@@ -126,12 +122,10 @@ class ExpOrderFn:
     def certificate_holds(
         self, points: Sequence[tuple[float, float, float]], slack: float = 1e-12
     ) -> bool:
-        m = self.bound
+        x, y, t = np.asarray(points, dtype=float).reshape(-1, 3).T
         sx, sy, st = self.rates
-        return all(
-            abs(self.fn(x, y, t)) <= m * math.exp(sx * x + sy * y + st * t) + slack
-            for x, y, t in points
-        )
+        envelope = self.bound * np.exp(sx * x + sy * y + st * t) + slack
+        return bool(np.all(np.abs(self.array(x, y, t)) <= envelope))
 
 
 # Largest tensor grid a transform may reach: level 3 in three dimensions
@@ -255,6 +249,7 @@ def shehu_1d(
 
     Raises:
         DivergenceError: when the axis ratio does not exceed the certified rate.
+        DomainError: when the values of ``f`` do not broadcast to a block.
         QuadratureError: when no level of the rule converges, or the
             integrand is not finite.
     """

@@ -12,13 +12,14 @@ weights carry the kernel, so neither the singular endpoint u = p nor an
 integrable singularity of f at u = 0 needs a special case, and it raises
 ``QuadratureError`` instead of returning an unconverged value.  Point
 coordinates may be arrays that broadcast together; the rule then runs on
-blocks of points at once and returns an array of their shape.  Integrals
-need only values of f, so any callable works; derivatives need a
-``SmoothFn``, the package's one field representation: a sum of products
-of single-axis atoms whose partials are again term lists.  Atoms carry
-values and integer-order derivatives only, so every fractional value here
-comes from quadrature of the defining integral, never from a closed-form
-image.
+blocks of points at once and returns an array of their shape.  A field
+is a callable on broadcast arrays (wrap a scalar-only one with
+``np.frompyfunc(f, 3, 1)``).  Integrals need only values of f, so any
+field works; derivatives need a ``SmoothFn``, the package's one field
+representation: a sum of products of single-axis atoms whose partials
+are again term lists.  Atoms carry values and integer-order derivatives
+only, so every fractional value here comes from quadrature of the
+defining integral, never from a closed-form image.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class SmoothFn:
 
     Each term is a coefficient and a tuple of single-axis atoms (power,
     exp, sin, cos, Mittag-Leffler kernel; see ``funclib``).  An atom has an
-    axis index ``i``, float values ``fn(u)``, array values ``array(u)``
-    and a closed-form first derivative ``derivative()``, returned as
+    axis index ``i``, values ``array(u)`` on numpy arrays and a
+    closed-form first derivative ``derivative()``, returned as
     ``(coef, atom)`` (atom None when the factor becomes 1) or raising
     ``MissingDerivative``.  Partials apply the product rule atom by atom,
     so any order and mix of them stays a term list.  Instances are
@@ -90,17 +91,10 @@ class SmoothFn:
     def __init__(self, terms: Iterable[tuple[float, tuple]] = ()) -> None:
         self.terms = tuple((float(c), tuple(atoms)) for c, atoms in terms if c != 0.0)
 
-    def fn(self, x: float, y: float, t: float) -> float:
-        """Scalar value; atoms evaluate floats with ``math`` only."""
-        p = (x, y, t)
-        total = 0.0
-        for c, atoms in self.terms:
-            for a in atoms:
-                c *= a.fn(p[a.i])
-            total += c
-        return total
-
-    __call__ = fn
+    def __call__(self, x, y, t):
+        """``array``, but a float when every coordinate is a scalar."""
+        out = self.array(x, y, t)
+        return float(out) if out.ndim == 0 else out
 
     def array(self, x, y, t) -> np.ndarray:
         """Values on broadcast arrays, returned at the full broadcast shape."""
@@ -185,18 +179,19 @@ def _tanh_sinh(f, axis: str, g: float, coords):
     int_0^1 (1-s)^(g-1) f(p s) ds, and the rule sums
     h * pi cosh(t) s (1-s)^g f(p s) over the grid, so the kernel
     and an integrable singularity of f at u = 0 both decay double
-    exponentially in t.  A SmoothFn is evaluated on a points x nodes block
-    at once, a bare callable point by point; blocks hold at most _BLOCK
-    values.  Each level halves h and evaluates only the new nodes; the
-    first level is compared with its own even nodes.  A point is done at
-    the first level that differs from the one before by at most _TARGET
-    times its sum of |weight * f|, so the level that gives its value does
-    not depend on the other points; a window cut where the terms are not
-    negligible shows up as the same lack of convergence (an endpoint term
-    of size e changes the sum by about h * e / 2 per level).
+    exponentially in t.  ``f`` is called once per block of points x nodes,
+    at most _BLOCK values; a SmoothFn through ``SmoothFn.array`` directly,
+    any other callable through ``_values``.  Each level halves h and
+    evaluates only the new nodes; the first level is compared with its own
+    even nodes.  A point is done at the first level that differs from the
+    one before by at most _TARGET times its sum of |weight * f|, so the
+    level that gives its value does not depend on the other points; a
+    window cut where the terms are not negligible shows up as the same
+    lack of convergence (an endpoint term of size e changes the sum by
+    about h * e / 2 per level).
     """
     i = AXES.index(axis)
-    evaluate = f.array if isinstance(f, SmoothFn) else partial(_pointwise, f)
+    evaluate = f.array if isinstance(f, SmoothFn) else partial(_values, f)
     out = np.zeros(coords.shape[1])
     rows = np.flatnonzero(coords[i])  # a zero limit integrates to 0
     active = coords[:, rows, None]
@@ -233,9 +228,17 @@ def _tanh_sinh(f, axis: str, g: float, coords):
     )
 
 
-def _pointwise(fn: Callable[[float, float, float], float], x, y, t) -> np.ndarray:
-    """Values of a scalar callable on broadcast arrays, one float call per point."""
-    return np.asarray(np.frompyfunc(fn, 3, 1)(x, y, t), dtype=float)
+def _values(f: Callable, x, y, t) -> np.ndarray:
+    """Values of the field ``f`` as floats at the broadcast shape of its arguments."""
+    shape = np.broadcast(x, y, t).shape
+    vals = np.asarray(f(x, y, t), dtype=float)
+    if vals.shape == shape:  # the common case; broadcast_to costs microseconds
+        return vals
+    try:
+        return np.broadcast_to(vals, shape)
+    except ValueError:
+        raise DomainError(f"field values of shape {vals.shape} do not broadcast "
+                          f"to the points' shape {shape}") from None
 
 
 def _points(point, axis: str):
@@ -273,7 +276,7 @@ def _partial_n(f, axis: str, n: int) -> SmoothFn:
 
 
 def rl_integral(
-    f: SmoothFn | Callable[[float, float, float], float],
+    f: SmoothFn | Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     axis: str,
     order: FracOrder | float,
     point,
@@ -283,8 +286,7 @@ def rl_integral(
     ``point`` holds three coordinates, scalars or arrays that broadcast
     together; the result is a float for scalars and an array of the
     broadcast shape otherwise, each element equal, up to rounding, to the
-    scalar call at that point.  Only values of ``f`` are needed: a SmoothFn is evaluated
-    on blocks of points and nodes at once, a bare callable node by node.
+    scalar call at that point.  Only values of the field ``f`` are needed.
     A zero coordinate on ``axis`` gives 0.  Measured relative error: at
     most 1.5e-14 on the power-rule, Mittag-Leffler and singular-power
     checks in the tests, and 7.1e-14 for orders 1e-3 to 2.5 and
@@ -292,7 +294,8 @@ def rl_integral(
     sin(5u) against high-precision series.
 
     Raises:
-        DomainError: for a negative or non-finite coordinate on ``axis``.
+        DomainError: for a negative or non-finite coordinate on ``axis``,
+            or values of ``f`` that do not broadcast.
         QuadratureError: for a non-finite integrand, or one the rule does
             not resolve within its finest step; this includes u^a with
             a <= -0.99 at u = 0, whose mass below the first node,
@@ -333,7 +336,7 @@ def caputo_derivative(
 
 
 def rl_derivative(
-    f: SmoothFn | Callable[[float, float, float], float],
+    f: SmoothFn | Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     axis: str,
     order: FracOrder | float,
     point,

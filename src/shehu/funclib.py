@@ -3,11 +3,12 @@
 Every field is a ``SmoothFn``: a sum of terms, each a coefficient times
 single-axis atoms.  The atoms are defined here -- power, exp, sin and cos
 with closed-form first derivatives, and the values-only Mittag-Leffler
-kernel -- and each evaluates floats with ``math`` and arrays with numpy
-ufuncs.  A catalog entry bundles its field with an exponential-order
-certificate for transform truncation; ``FieldFn.exp_order`` hands both
-evaluators to the transforms.  The same atoms feed opcalc's separable
-verification path, so the catalog exists once.
+kernel -- and each evaluates numpy arrays only, the power, exp, sin and
+cos atoms with one ufunc.  A catalog entry bundles its field with an
+exponential-order certificate for transform truncation;
+``FieldFn.exp_order`` hands the field, which broadcasts, to the
+transforms.  The same atoms feed opcalc's separable verification path, so
+the catalog exists once.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class FieldFn:
     bound: float
     rates: tuple[float, float, float]
 
-    def __call__(self, x: float, y: float, t: float) -> float:
+    def __call__(self, x, y, t):
         return self.smooth(x, y, t)
 
     def exp_order(self, bound_factor: float = 1.0) -> ExpOrderFn:
@@ -59,10 +60,7 @@ class FieldFn:
         with a moderately larger constant; the factor only lengthens the
         truncated range.
         """
-        return ExpOrderFn(
-            fn=smooth.fn, bound=self.bound * bound_factor, rates=self.rates,
-            vec=smooth.array,
-        )
+        return ExpOrderFn(smooth, self.bound * bound_factor, self.rates)
 
 
 # -- single-axis atoms (the interface is documented on SmoothFn) --------------
@@ -83,11 +81,6 @@ class _Atom:
 class _Power(_Atom):
     """u^par; infinite at u = 0 for par < 0."""
 
-    def fn(self, u: float) -> float:
-        if u == 0.0 and self.par < 0.0:
-            return math.inf
-        return u ** self.par
-
     def array(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.power(u, self.par)
@@ -99,31 +92,28 @@ class _Power(_Atom):
 
 
 class _Scaled(_Atom):
-    """f(par * u) for f = ``math_f`` on floats and ``np_f`` on arrays."""
-
-    def fn(self, u: float) -> float:
-        return self.math_f(self.par * u)
+    """np_f(par * u) for the ufunc ``np_f``."""
 
     def array(self, u: np.ndarray) -> np.ndarray:
         return self.np_f(self.par * u)
 
 
 class _Exp(_Scaled):
-    math_f, np_f = math.exp, np.exp
+    np_f = np.exp
 
     def derivative(self):
         return self.par, self
 
 
 class _Sin(_Scaled):
-    math_f, np_f = math.sin, np.sin
+    np_f = np.sin
 
     def derivative(self):
         return self.par, _Cos(self.axis, self.par)
 
 
 class _Cos(_Scaled):
-    math_f, np_f = math.cos, np.cos
+    np_f = np.cos
 
     def derivative(self):
         return -self.par, _Sin(self.axis, self.par)
@@ -139,16 +129,18 @@ class _MLKernel(_Atom):
         self.ml = MLParams(gamma, beta)
         self.c = float(c)
 
-    def fn(self, u: float) -> float:
-        beta = self.par
-        if u == 0.0:
-            if beta == 1.0:
-                return 1.0
-            return 0.0 if beta > 1.0 else math.inf
-        return u ** (beta - 1.0) * mittag_leffler(self.ml, self.c * u ** self.ml.gamma)
-
     def array(self, u: np.ndarray) -> np.ndarray:
-        return np.vectorize(self.fn, otypes=[float])(u)
+        """One scalar ``mittag_leffler`` call per element."""
+        beta, gamma = self.par, self.ml.gamma
+
+        def value(u: float) -> float:
+            if u == 0.0:
+                if beta == 1.0:
+                    return 1.0
+                return 0.0 if beta > 1.0 else math.inf
+            return u ** (beta - 1.0) * mittag_leffler(self.ml, self.c * u ** gamma)
+
+        return np.vectorize(value, otypes=[float])(u)
 
     def derivative(self):
         raise MissingDerivative(f"no derivative available along {self.axis!r}")

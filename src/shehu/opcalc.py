@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
-from .errors import MissingBoundary, QuadratureError, UnknownSuite
+from .errors import DomainError, MissingBoundary, QuadratureError, UnknownSuite
 from .forward import (
     DEFAULT_QUADRATURE,
     ExpOrderFn,
@@ -248,12 +248,14 @@ def convolve_3d(
     order scaled to the box size converges spectrally.
 
     Raises:
+        DomainError: when a coordinate of ``point`` is negative or not finite.
         QuadratureError: when refinement fails to stabilize the value.
     """
     x, y, t = point
-    if min(x, y, t) < 0.0:
-        raise ValueError("convolution point must be componentwise nonnegative")
-    if min(x, y, t) == 0.0:
+    lo = min(x, y, t)
+    if not (lo >= 0.0 and x + y + t < math.inf):  # a NaN fails the sum
+        raise DomainError(f"convolution point must be finite and nonnegative, got {point}")
+    if lo == 0.0:
         return 0.0
 
     def tensor(n: int) -> float:
@@ -288,17 +290,15 @@ def convolved_exp_order(
 
     |f***g| <= M_f M_g * xyt * exp(max-rate . point); the polynomial factor
     is absorbed into the rate pad, with the bound constant adjusted by
-    (1/(e*pad))^3 = max of u*exp(-pad*u) per axis.
+    (1/(e*pad))^3 = max of u*exp(-pad*u) per axis.  The field broadcasts
+    over points; each point is one ``convolve_3d``.
     """
     rates = tuple(
         max(rf, rg) + rate_pad for rf, rg in zip(f.rates, g.rates)
     )
     bound = f.bound * g.bound * (1.0 / (math.e * rate_pad)) ** 3
-
-    def fn(x: float, y: float, t: float) -> float:
-        return convolve_3d(f, g, (x, y, t), cfg)
-
-    return ExpOrderFn(fn=fn, bound=bound, rates=rates)
+    fn = np.vectorize(lambda x, y, t: convolve_3d(f, g, (x, y, t), cfg), otypes=[float])
+    return ExpOrderFn(fn, bound, rates)
 
 
 # -- separable quadrature (verification side) ---------------------------------
@@ -604,7 +604,7 @@ def _suite_rules(kind: str, rows, report: VerificationReport, rng) -> None:
             def image(x, y, t):  # called only within this iteration
                 return op(fld.smooth, axis, g, (x, y, t))
 
-            image_eo = ExpOrderFn(image, fld.bound * 8.0, rates, vec=image)
+            image_eo = ExpOrderFn(image, fld.bound * 8.0, rates)
             lhs = _transform_over(image_eo, axes, vars, _RULE_CONFIG, frozen)
             Fhat = _transform_over(fld.exp_order(), axes, vars, _RULE_CONFIG, frozen)
         if kind == "integral":
@@ -616,18 +616,14 @@ def _suite_rules(kind: str, rows, report: VerificationReport, rng) -> None:
 
 
 def _tensor_transform(fn, vars: RatioPoint, n: int = 20) -> float:
-    """Fixed Gauss-Laguerre tensor rule for the triple transform of ``fn``."""
+    """Fixed Gauss-Laguerre tensor rule for the triple transform of ``fn``,
+    called once on the n^3 node grid; the terms are summed one at a time
+    in C order, not pairwise, so the value is that of the plain loop."""
     xi, wi = _gauss_rule(laggauss, n)
     rho = [float(vars.ratio(ax)) for ax in AXES]
-    acc = 0.0
-    for i in range(n):
-        x = xi[i] / rho[0]
-        for j in range(n):
-            y = xi[j] / rho[1]
-            wij = wi[i] * wi[j]
-            for k in range(n):
-                acc += wij * wi[k] * fn(x, y, xi[k] / rho[2])
-    return acc / (rho[0] * rho[1] * rho[2])
+    wx, wy, wt = np.ix_(wi, wi, wi)
+    vals = fn(*np.ix_(xi / rho[0], xi / rho[1], xi / rho[2]))
+    return float(np.cumsum(wx * wy * wt * vals)[-1]) / (rho[0] * rho[1] * rho[2])
 
 
 def _conv1d_transform(atoms_f, atoms_g, rate: float, rho: float) -> float:

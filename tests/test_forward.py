@@ -14,6 +14,7 @@ from shehu.forward import (
     shehu_2d,
     shehu_3d,
 )
+from shehu.fracops import caputo_derivative
 from shehu.funclib import catalog, get_field, ml_kernel_field, power_field
 
 UNIT = RatioPoint.from_ratios(1.0, 1.0, 1.0)
@@ -53,6 +54,14 @@ class TestCertificate:
         for name in ("const", "t", "xt", "xyt", "exp-xyt", "exp-y",
                      "sine-product", "sinpix-expt", "t-squared", "sqrt-t"):
             assert get_field(name).exp_order().certificate_holds(pts), name
+
+    def test_certificate_fails_when_the_bound_is_too_small(self):
+        """t <= e^(t/2) holds everywhere, 0.5 t <= e^(t/2) fails near t = 2."""
+        rng = np.random.default_rng(5)
+        pts = [tuple(rng.uniform(0.0, 4.0, size=3)) for _ in range(50)]
+        fld = get_field("t")
+        assert ExpOrderFn(fld.smooth, 1.0, fld.rates).certificate_holds(pts)
+        assert not ExpOrderFn(fld.smooth, 0.5, fld.rates).certificate_holds(pts)
 
 
 class TestSingleAxis:
@@ -136,9 +145,29 @@ class TestMultiAxis:
         assert max(vals) - min(vals) <= 1e-9 * max(abs(v) for v in vals)
 
 
-def _looped(f: ExpOrderFn) -> ExpOrderFn:
-    """The same field without its array evaluator."""
-    return ExpOrderFn(fn=f.fn, bound=f.bound, rates=f.rates)
+# Each catalog field written out from its definition with ``math``, one
+# float call per point: a reference that shares no code with funclib.
+_CLOSED_FORMS = {
+    "const": lambda x, y, t: 1.0,
+    "t": lambda x, y, t: t,
+    "t-squared": lambda x, y, t: t * t,
+    "sqrt-t": lambda x, y, t: math.sqrt(t),
+    "xt": lambda x, y, t: x * t,
+    "xyt": lambda x, y, t: x * y * t,
+    "exp-xyt": lambda x, y, t: math.exp(-x) * math.exp(-y) * math.exp(-t),
+    "exp-2xyt": lambda x, y, t: math.exp(-2.0 * x) * math.exp(-2.0 * y) * math.exp(-2.0 * t),
+    "exp-y": lambda x, y, t: math.exp(-y),
+    "exp-t": lambda x, y, t: math.exp(-t),
+    "sine-product": lambda x, y, t: math.sin(PI * x) * math.sin(PI * y),
+    "sin-pit": lambda x, y, t: math.sin(PI * t),
+    "sinpix-expt": lambda x, y, t: math.sin(PI * x) * math.exp(-t),
+}
+
+
+def _looped(name: str) -> ExpOrderFn:
+    """The catalog field ``name`` as its closed form, evaluated point by point."""
+    f = get_field(name)
+    return ExpOrderFn(np.frompyfunc(_CLOSED_FORMS[name], 3, 1), f.bound, f.rates)
 
 
 class TestTensorRule:
@@ -158,24 +187,24 @@ class TestTensorRule:
 
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_array_evaluator_matches_scalar_loop(self, name):
-        """1-D and 2-D transforms agree with and without ``vec``; in 3-D the
-        evaluators agree on a grid of the rule's nodes."""
-        f = get_field(name).exp_order()
+        """1-D and 2-D transforms of each catalog field agree with those of
+        its closed form looped point by point; in 3-D the two agree on a
+        grid of the rule's nodes."""
+        f, ref = get_field(name).exp_order(), _looped(name)
         vars = RatioPoint.from_ratios(1.9, 2.3, 2.7)
         got = shehu_1d(f, "t", vars, frozen={"x": 0.4, "y": 0.7})
-        assert_allclose(got, shehu_1d(_looped(f), "t", vars, frozen={"x": 0.4, "y": 0.7}),
+        assert_allclose(got, shehu_1d(ref, "t", vars, frozen={"x": 0.4, "y": 0.7}),
                         rtol=1e-13, atol=0.0)
         got = shehu_2d(f, ("x", "y"), vars, frozen={"t": 0.6})
-        assert_allclose(got, shehu_2d(_looped(f), ("x", "y"), vars, frozen={"t": 0.6}),
+        assert_allclose(got, shehu_2d(ref, ("x", "y"), vars, frozen={"t": 0.6}),
                         rtol=1e-13, atol=0.0)
         u = np.linspace(0.0, 6.0, 13)
         grid = (u[:, None, None], u[None, :, None], u[None, None, :])
-        assert_allclose(f.array(*grid), _looped(f).array(*grid), rtol=1e-13, atol=1e-300)
+        assert_allclose(f.array(*grid), ref.array(*grid), rtol=1e-13, atol=1e-300)
 
     def test_unresolved_oscillation_is_refused(self):
         """sin(1e4 u) over a box of length 32 needs a finer step than level 7."""
-        f = ExpOrderFn(fn=lambda x, y, t: math.sin(1e4 * t), bound=1.0,
-                       vec=lambda x, y, t: np.sin(1e4 * t))
+        f = ExpOrderFn(fn=lambda x, y, t: np.sin(1e4 * t), bound=1.0)
         with pytest.raises(QuadratureError):
             shehu_1d(f, "t", UNIT)
 
@@ -185,11 +214,53 @@ class TestTensorRule:
 
         def spy(x, y, t):
             sizes.append(np.broadcast(x, y, t).size)
-            return base.vec(x, y, t)
+            return base.fn(x, y, t)
 
-        f = ExpOrderFn(fn=base.fn, bound=base.bound, rates=base.rates, vec=spy)
+        f = ExpOrderFn(fn=spy, bound=base.bound, rates=base.rates)
         assert_allclose(shehu_3d(f, UNIT), 0.125, rtol=1e-12)
         assert len(sizes) > 1 and max(sizes) <= 2 ** 16
+
+
+class TestBroadcastContract:
+    """A field is a callable on broadcast arrays, called once per block."""
+
+    def test_broadcasting_caputo_field_is_called_per_block(self):
+        """A Caputo derivative under a 1-D transform, as the benchmark's
+        cap-1d rows build it: one call per level's block of nodes, values
+        equal to per-node calls."""
+        smooth = get_field("sine-product").smooth
+        sizes = []
+
+        def deriv(x, y, t):
+            sizes.append(np.broadcast(x, y, t).size)
+            return caputo_derivative(smooth, "y", 0.5, (x, y, t))
+
+        f = ExpOrderFn(deriv, 8.0, (0.0, 0.3, 0.0))
+        vars, frozen = RatioPoint.from_ratios(q=1.7), {"x": 0.6, "t": 0.9}
+        got = shehu_1d(f, "y", vars, frozen=frozen)
+        assert 2 <= len(sizes) <= 8 and min(sizes) > 1
+        looped = ExpOrderFn(np.frompyfunc(deriv, 3, 1), f.bound, f.rates)
+        assert_allclose(got, shehu_1d(looped, "y", vars, frozen=frozen), rtol=1e-13, atol=0.0)
+        u = np.linspace(0.0, 5.0, 11)
+        expect = [caputo_derivative(smooth, "y", 0.5, (0.6, v, 0.9)) for v in u.tolist()]
+        assert_allclose(f.array(0.6, u, 0.9), expect, rtol=1e-13, atol=0.0)
+
+    def test_scalar_only_callable_wrapped_with_frompyfunc(self):
+        """math functions refuse arrays; frompyfunc evaluates them node by node."""
+        f = ExpOrderFn(np.frompyfunc(lambda x, y, t: math.sin(PI * x) * math.exp(-t), 3, 1),
+                       1.0, (0.0, 0.0, -1.0))
+        vars = RatioPoint.from_ratios(1.3, 1.0, 0.8)
+        got = shehu_1d(f, "t", vars, frozen={"x": 0.5})
+        assert_allclose(got, 1.0 / 1.8, rtol=1e-10)
+        got = shehu_2d(f, ("x", "t"), vars)
+        assert_allclose(got, PI / (1.3 ** 2 + PI ** 2) / 1.8, rtol=1e-10)
+
+    def test_result_that_does_not_broadcast_is_refused(self):
+        f = ExpOrderFn(lambda x, y, t: np.ones(3), 1.0)
+        with pytest.raises(DomainError):
+            shehu_1d(f, "t", UNIT)
+        with pytest.raises(DomainError):
+            f.certificate_holds([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
 
 
 class TestAnalyticTransform:

@@ -86,7 +86,8 @@ class TestSmoothFn:
         ids=lambda fld: fld.name,
     )
     def test_array_evaluator_matches_scalar(self, fld):
-        """The broadcast array evaluator equals the scalar one elementwise."""
+        """A broadcast evaluation equals scalar calls, which return floats."""
+        assert type(fld(0.3, 0.45, 0.8)) is float
         x = np.array([0.0, 0.3, 1.7])[:, None, None]
         y = np.array([0.0, 0.45, 2.2])[None, :, None]
         t = np.array([0.0, 0.8, 3.1])
@@ -153,14 +154,19 @@ class TestRLIntegral:
         """I^(1-g)[g u^(g-1)] = Gamma(g+1): f singular at u = 0, kernel at u = p."""
         f = axis_power("t", g - 1.0) * g
         if form == "callable":
-            f = f.fn
+            f = lambda x, y, t: g * t ** (g - 1.0)
         got = rl_integral(f, "t", 1.0 - g, (0.0, 0.0, 1.3))
         assert_allclose(got, math.gamma(g + 1.0), rtol=1e-12)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_integrand_is_refused(self, value):
         with pytest.raises(QuadratureError):
-            rl_integral(lambda x, y, t: value, "t", 0.5, (0.0, 0.0, 1.0))
+            rl_integral(lambda x, y, t: np.full(np.broadcast(x, y, t).shape, value),
+                        "t", 0.5, (0.0, 0.0, 1.0))
+
+    def test_values_that_do_not_broadcast_are_refused(self):
+        with pytest.raises(DomainError):
+            rl_integral(lambda x, y, t: np.ones(3), "t", 0.5, (0.0, 0.0, 1.0))
 
     def test_unresolved_oscillation_is_refused(self):
         """sin(1e4 u) on [0, 50] needs a finer step than the rule's last level."""
@@ -223,7 +229,7 @@ def test_coordinate_arrays_match_scalar_calls(op, fname, axis, g, form):
     """A 2-D broadcast of points, zeros on the axis included, equals scalar calls."""
     f = get_field(fname).smooth
     if form == "callable":
-        f = f.fn
+        f = lambda x, y, t: x * y * t
     got = op(f, axis, g, (_GRID_X, _GRID_Y, 0.8))
     assert got.shape == (3, 4)
     expect = [[op(f, axis, g, (x, y, 0.8)) for y in _GRID_Y.ravel().tolist()]

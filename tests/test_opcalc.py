@@ -11,11 +11,13 @@ from scipy.integrate import quad
 from scipy.special import roots_laguerre
 
 from shehu import forward, fracops, opcalc
-from shehu.errors import MissingBoundary, QuadratureError, UnknownSuite
+from shehu.errors import DomainError, MissingBoundary, QuadratureError, UnknownSuite
 from shehu.forward import ExpOrderFn, QuadratureConfig, RatioPoint, shehu_3d
 from shehu.fracops import AXES, FracOrder, SmoothFn, caputo_derivative, rl_integral
-from shehu.funclib import catalog, get_field
+from shehu.funclib import FieldFn, catalog, get_field
 from shehu.opcalc import (
+    _CAPUTO_ROWS,
+    _RULE_CONFIG,
     BoundaryTransforms,
     _axis_transform,
     _conv1d_transform,
@@ -206,6 +208,12 @@ class TestConvolve:
         f = get_field("exp-xyt").exp_order()
         assert convolve_3d(f, f, (0.0, 1.0, 1.0)) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_point_outside_domain_is_refused(self, bad):
+        f = get_field("exp-xyt").exp_order()
+        with pytest.raises(DomainError):
+            convolve_3d(f, f, (1.0, bad, 0.5))
+
     def test_product_law_at_unit_ratios(self):
         """Transform of f***f at unit ratios equals (transform of f)^2 = 0.125^2."""
         cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12, tail_cut_tol=1e-10)
@@ -221,6 +229,28 @@ class TestConvolve:
         lhs2 = _tensor_transform(conv.fn, vars)
         rhs2 = shehu_3d(f, vars, cfg) ** 2
         assert_allclose(lhs2, rhs2, rtol=1e-6)
+
+
+def test_caputo_boundary_traces_obey_their_certificates(monkeypatch):
+    """Every derivative trace that ``boundary_from_quadrature`` transforms for
+    the Caputo rule rows is bounded by its trace certificate."""
+    built = []
+    trace_exp_order = FieldFn.trace_exp_order
+
+    def spy(fld, smooth, bound_factor=4.0):
+        eo = trace_exp_order(fld, smooth, bound_factor)
+        built.append((fld.name, eo))
+        return eo
+
+    monkeypatch.setattr(FieldFn, "trace_exp_order", spy)
+    vars = RatioPoint.from_ratios(2.0, 2.0, 2.0)
+    for _, fname, orders, frozen in _CAPUTO_ROWS:
+        axes = tuple(ax for ax in AXES if ax not in (frozen or {}))
+        boundary_from_quadrature(get_field(fname), vars, orders, axes, _RULE_CONFIG, frozen)
+    pts = np.random.default_rng(17).uniform(0.0, 4.0, size=(200, 3))
+    assert len(built) > len(_CAPUTO_ROWS)
+    for name, eo in built:
+        assert eo.certificate_holds(pts), name
 
 
 class TestGaussRules:
@@ -394,7 +424,7 @@ def _ref_suite_operational_integrals(report, rng):
                 return rl_integral(_f.smooth, "y", _g, (x, y, t))
 
             lhs = forward.shehu_1d(
-                ExpOrderFn(integ, fld.bound * 8.0, rates, vec=integ),
+                ExpOrderFn(integ, fld.bound * 8.0, rates),
                 "y", vars, cfg, frozen,
             )
             rhs = integral_rule(
@@ -413,7 +443,7 @@ def _ref_suite_operational_integrals(report, rng):
             return rl_integral(fld.smooth, _ax, _g, (x, y, t))
 
         lhs = forward.shehu_2d(
-            ExpOrderFn(integ, fld.bound * 8.0, rates, vec=integ),
+            ExpOrderFn(integ, fld.bound * 8.0, rates),
             ("x", "y"), vars, cfg, frozen,
         )
         rhs = integral_rule(
@@ -473,7 +503,7 @@ def _ref_suite_operational_derivatives(report, rng):
             return caputo_derivative(_f.smooth, "y", _g, (x, y, t))
 
         lhs = forward.shehu_1d(
-            ExpOrderFn(deriv, fld.bound * 8.0, rates, vec=deriv),
+            ExpOrderFn(deriv, fld.bound * 8.0, rates),
             "y", vars, cfg, frozen,
         )
         order = FracOrder(gval)
@@ -502,7 +532,7 @@ def _ref_suite_operational_derivatives(report, rng):
             return caputo_derivative(_f.smooth, _ax, _g, (x, y, t))
 
         lhs = forward.shehu_2d(
-            ExpOrderFn(deriv, fld.bound * 8.0, rates, vec=deriv),
+            ExpOrderFn(deriv, fld.bound * 8.0, rates),
             ("x", "y"), vars, cfg, frozen,
         )
         order = FracOrder(gval)
