@@ -38,8 +38,7 @@ from .fpde import (
     TransformSolution,
     binomial_series,
     reconstruct,
-    series_solution_heat,
-    series_solution_telegraph,
+    series_solution,
     transform_residual,
     transform_solution,
 )

@@ -26,8 +26,7 @@ from .fpde import (
     HeatSpec,
     TelegraphSpec,
     reconstruct,
-    series_solution_heat,
-    series_solution_telegraph,
+    series_solution,
     transform_residual,
     transform_solution,
 )
@@ -84,20 +83,17 @@ def _merged(args, key, default):
     return args.config_values.get(key, default)
 
 
+def _given(args, *keys) -> dict:
+    """The ``keys`` a flag or the config file sets; library defaults serve the rest."""
+    return {key: v for key in keys if (v := _merged(args, key, None)) is not None}
+
+
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        rel_tol=_merged(args, "rel_tol", 1e-10),
-        abs_tol=_merged(args, "abs_tol", 1e-14),
-        tail_cut_tol=_merged(args, "tail_cut_tol", 1e-14),
-    )
+    return QuadratureConfig(**_given(args, "rel_tol", "abs_tol", "tail_cut_tol"))
 
 
 def _inv_config(args) -> InversionConfig:
-    return InversionConfig(
-        method=_merged(args, "method", "talbot"),
-        nodes=_merged(args, "nodes", 32),
-        contour_scale=_merged(args, "contour_scale", 1.0),
-    )
+    return InversionConfig(**_given(args, "method", "nodes", "contour_scale"))
 
 
 def _emit(lines: Sequence[str], output: str | None) -> None:
@@ -245,15 +241,7 @@ def cmd_solve(args) -> int:
         return 0 if worst <= _merged(args, "residual_tol", 1e-10) else 1
 
     if args.mode == "series":
-        point = (0.5, 0.5, 0.5)
-        truncation = _merged(args, "truncation", 6)
-        if args.problem == "heat":
-            res = series_solution_heat(point, truncation=truncation, gamma=args.gamma)
-        else:
-            res = series_solution_telegraph(
-                point, truncation=truncation, gamma=args.gamma,
-                alpha=args.alpha, beta=args.beta,
-            )
+        res = series_solution(spec, (0.5, 0.5, 0.5), _merged(args, "truncation", 6))
         _emit(
             [
                 f"value={_fmt(res.value)}",

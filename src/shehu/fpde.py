@@ -12,12 +12,12 @@ faces Bx(q, s), By(p, s),
 with c = pi^2, b = 0 for heat and c = 1 + 2*alpha, b = beta for the
 telegraph; one builder and one residual serve both problems.
 
-Each solution is validated against that relation (residual checks),
-reconstructed on space-time grids by nested inversion, and accompanied by
-pole-guarded evaluators for the printed series expansions, whose literal
-coefficients contain gamma factors at poles (a documented defect of the
-source expressions; the guard skips and counts such terms instead of
-failing).
+Each solution is validated against that relation (residual checks) and
+reconstructed on space-time grids by nested inversion.  One pole-guarded
+evaluator serves the printed series expansions of both problems, whose
+literal coefficients contain gamma factors at poles (a documented defect
+of the source expressions; the guard skips and counts such terms instead
+of failing).
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ __all__ = [
     "transform_residual",
     "reconstruct",
     "binomial_series",
-    "series_solution_heat",
-    "series_solution_telegraph",
+    "series_solution",
 ]
 
 _PI2 = math.pi * math.pi
@@ -484,143 +483,88 @@ def _eval_guarded(
     return GuardedSeriesResult(value=total, guarded_count=guarded, terms_used=used)
 
 
-def _heat_groups(g: float):
+def _series_groups(spec: HeatSpec | TelegraphSpec):
+    """The three printed term groups of ``spec``'s series, as (id, sums, term).
+
+    The telegraph's groups are the heat's with two leading sums over p and
+    q; each of their terms gains G(p+q) in its numerator and
+    p log(alpha) + q (log(alpha) + 2 log(beta)) in its log-prefactor.  Group
+    1's x-power is the one other printed difference.
+    """
+    g = spec.gamma.value
     lpi = math.log(math.pi)
+    if isinstance(spec, TelegraphSpec):
+        name, lead = "telegraph", 2
+        la, lb = math.log(spec.alpha), math.log(spec.beta)
+    else:
+        name, lead = "heat", 0
+
+    def term(pq, num_gammas, den_gammas, factorial_index, sign, log_prefactor, powers):
+        if pq:
+            p_i, q_i = pq
+            num_gammas += (float(p_i + q_i),)
+            log_prefactor += p_i * la + q_i * (la + 2.0 * lb)
+        return _TermSpec(num_gammas, den_gammas, factorial_index, sign, log_prefactor,
+                         powers)
 
     def group1(idx):
-        u, v, n, m = idx
-        return _TermSpec(
-            num_gammas=(m - u,),
+        *pq, u, v, n, m = idx
+        x_power = 2.0 * m - 2.0 * u - 2.0 * v - 1.0 if pq else 2.0 * m - 2.0 * u - 2.0
+        return term(
+            pq, num_gammas=(m - u,), factorial_index=m, sign=(-1.0) ** (v + n + m),
             den_gammas=(-1.0, -1.0, -1.0, float(u),
                         2.0 * m - 2.0 * u - 2.0 * v,
                         -2.0 * m - 2.0 * n,
                         g * u + 1.0),
-            factorial_index=m,
-            sign=(-1.0) ** (v + n + m),
             log_prefactor=-(2.0 * u + 2.0 * v + 2.0 * n + 2.0) * lpi,
-            powers=(2.0 * m - 2.0 * u - 2.0, -2.0 * m - 2.0 * n - 1.0, g * u),
+            powers=(x_power, -2.0 * m - 2.0 * n - 1.0, g * u),
         )
 
     def group2(idx):
-        u, m, r = idx
-        return _TermSpec(
-            num_gammas=(m - u,),
+        *pq, u, m, r = idx
+        return term(
+            pq, num_gammas=(m - u,), factorial_index=m, sign=-((-1.0) ** (m + r)),
             den_gammas=(-1.0, -1.0, float(u),
                         2.0 * m - 2.0 * u - 1.0,
                         -2.0 * m - g * r - g + 1.0,
                         g * u + g + 1.0),
-            factorial_index=m,
-            sign=-((-1.0) ** (m + r)),
             log_prefactor=-(1.0 + 2.0 * u) * lpi,
             powers=(2.0 * m - u - 2.0, -2.0 * m - g * r - g, g * u + g),
         )
 
     def group3(idx):
-        u, m = idx
-        return _TermSpec(
-            num_gammas=(m - u,),
+        *pq, u, m = idx
+        return term(
+            pq, num_gammas=(m - u,), factorial_index=m, sign=-((-1.0) ** m),
             den_gammas=(-1.0, float(u),
                         2.0 * m - 2.0 * u - g + 1.0,
                         -2.0 * m - 1.0,
                         g * u + g),
-            factorial_index=m,
-            sign=-((-1.0) ** m),
             log_prefactor=-(1.0 + 2.0 * u) * lpi,
             powers=(2.0 * m - 2.0 * u - g, -2.0 * m - 2.0, g * u + g - 1.0),
         )
 
-    return [("heat1", 4, group1), ("heat2", 3, group2), ("heat3", 2, group3)]
+    return [(f"{name}1", lead + 4, group1), (f"{name}2", lead + 3, group2),
+            (f"{name}3", lead + 2, group3)]
 
 
-def _telegraph_groups(g: float, alpha: float, beta: float):
-    lpi = math.log(math.pi)
-    la, lb = math.log(alpha), math.log(beta)
-
-    def coupling(p_idx: int, q_idx: int) -> float:
-        return p_idx * la + q_idx * (la + 2.0 * lb)
-
-    def group1(idx):
-        p_i, q_i, u, v, n, m = idx
-        return _TermSpec(
-            num_gammas=(m - u, float(p_i + q_i)),
-            den_gammas=(-1.0, -1.0, -1.0, float(u),
-                        2.0 * m - 2.0 * u - 2.0 * v,
-                        -2.0 * m - 2.0 * n,
-                        g * u + 1.0),
-            factorial_index=m,
-            sign=(-1.0) ** (v + n + m),
-            log_prefactor=-(2.0 * u + 2.0 * v + 2.0 * n + 2.0) * lpi
-            + coupling(p_i, q_i),
-            powers=(2.0 * m - 2.0 * u - 2.0 * v - 1.0, -2.0 * m - 2.0 * n - 1.0, g * u),
-        )
-
-    def group2(idx):
-        p_i, q_i, u, m, r = idx
-        return _TermSpec(
-            num_gammas=(m - u, float(p_i + q_i)),
-            den_gammas=(-1.0, -1.0, float(u),
-                        2.0 * m - 2.0 * u - 1.0,
-                        -2.0 * m - g * r - g + 1.0,
-                        g * u + g + 1.0),
-            factorial_index=m,
-            sign=-((-1.0) ** (m + r)),
-            log_prefactor=-(1.0 + 2.0 * u) * lpi + coupling(p_i, q_i),
-            powers=(2.0 * m - u - 2.0, -2.0 * m - g * r - g, g * u + g),
-        )
-
-    def group3(idx):
-        p_i, q_i, u, m = idx
-        return _TermSpec(
-            num_gammas=(m - u, float(p_i + q_i)),
-            den_gammas=(-1.0, float(u),
-                        2.0 * m - 2.0 * u - g + 1.0,
-                        -2.0 * m - 1.0,
-                        g * u + g),
-            factorial_index=m,
-            sign=-((-1.0) ** m),
-            log_prefactor=-(1.0 + 2.0 * u) * lpi + coupling(p_i, q_i),
-            powers=(2.0 * m - 2.0 * u - g, -2.0 * m - 2.0, g * u + g - 1.0),
-        )
-
-    return [("telegraph1", 6, group1), ("telegraph2", 5, group2),
-            ("telegraph3", 4, group3)]
-
-
-def series_solution_heat(
+def series_solution(
+    spec: HeatSpec | TelegraphSpec,
     point: tuple[float, float, float],
     truncation: int = 8,
-    gamma: float = 0.5,
     coefficient_override: Callable[[str, tuple[int, ...]], float | None] | None = None,
 ) -> GuardedSeriesResult:
-    """Pole-guarded evaluation of the printed heat series expansion.
+    """Pole-guarded evaluation of the printed series expansion of ``spec``.
 
     Every term of the printed sums carries gamma factors at poles (the
     m! G(-1)^k G(u) pattern), so with the literal coefficients every term
     is guarded and the value is 0; the evaluator exists to document that
-    defect and to support coefficient overrides.  Experimental.
+    defect and to support coefficient overrides, keyed by group id
+    ("heat1".."heat3", "telegraph1".."telegraph3") and index tuple, the
+    telegraph's leading (p, q) first.  Experimental.
 
     Raises:
-        ValueError: for gamma outside (0, 1] or a truncation below 1.
+        ValueError: for a point that is not componentwise positive or a
+            truncation that is not an integer >= 1.
     """
-    spec = HeatSpec(gamma=gamma)
-    return _eval_guarded(_heat_groups(spec.gamma.value), truncation, point,
-                         coefficient_override)
-
-
-def series_solution_telegraph(
-    point: tuple[float, float, float],
-    truncation: int = 8,
-    gamma: float = 0.5,
-    alpha: float = 0.5,
-    beta: float = 1.0,
-    coefficient_override: Callable[[str, tuple[int, ...]], float | None] | None = None,
-) -> GuardedSeriesResult:
-    """Pole-guarded evaluation of the printed telegraph series expansion.
-
-    Same guard contract as the heat variant; the printed coefficients are
-    likewise defective (gamma factors at nonpositive integers in every
-    term).  Experimental.
-    """
-    spec = TelegraphSpec(gamma=gamma, alpha=alpha, beta=beta)
-    groups = _telegraph_groups(spec.gamma.value, spec.alpha, spec.beta)
-    return _eval_guarded(groups, truncation, point, coefficient_override)
+    return _eval_guarded(_series_groups(spec), truncation, point, coefficient_override)

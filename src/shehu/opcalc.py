@@ -158,20 +158,26 @@ def caputo_rule(
     for ax in diff_axes:
         total = total * vars.ratio(ax) ** order_map[ax].value
 
+    for subset, idx in _boundary_entries(order_map):
+        lead = 1.0 + 0.0j if isinstance(Fhat, complex) else 1.0
+        for ax in diff_axes:
+            if ax not in subset:
+                lead = lead * vars.ratio(ax) ** order_map[ax].value
+        coef = (-1.0) ** len(subset) * lead
+        for ax, i in zip(subset, idx):
+            coef = coef * vars.ratio(ax) ** (order_map[ax].value - 1.0 - i)
+        total = total + coef * boundary.get(subset, idx)
+    return total
+
+
+def _boundary_entries(order_map: Mapping[str, FracOrder]):
+    """(subset, index) of every Caputo boundary entry, axes in axis order."""
+    diff_axes = [ax for ax in AXES if ax in order_map]
     for r in range(1, len(diff_axes) + 1):
         for subset in itertools.combinations(diff_axes, r):
-            sign = (-1.0) ** r
-            lead = 1.0 + 0.0j if isinstance(Fhat, complex) else 1.0
-            for ax in diff_axes:
-                if ax not in subset:
-                    lead = lead * vars.ratio(ax) ** order_map[ax].value
-            ranges = [range(order_map[ax].ceil) for ax in subset]
+            ranges = (range(order_map[ax].ceil) for ax in subset)
             for idx in itertools.product(*ranges):
-                coef = sign * lead
-                for ax, i in zip(subset, idx):
-                    coef = coef * vars.ratio(ax) ** (order_map[ax].value - 1.0 - i)
-                total = total + coef * boundary.get(subset, idx)
-    return total
+                yield subset, idx
 
 
 def boundary_from_quadrature(
@@ -189,33 +195,26 @@ def boundary_from_quadrature(
     certificate of ``fld``.  Axes outside ``transform_axes`` are held at
     ``frozen`` (default 0), as in the transform the rule is applied to.
     """
-    order_map = _as_order_map(orders)
-    diff_axes = [ax for ax in AXES if ax in order_map]
     out = BoundaryTransforms()
-    for r in range(1, len(diff_axes) + 1):
-        for subset in itertools.combinations(diff_axes, r):
-            ranges = [range(order_map[ax].ceil) for ax in subset]
-            for idx in itertools.product(*ranges):
-                trace = fld.smooth
-                for ax, i in zip(subset, idx):
-                    trace = trace.partial_n(ax, i)
-                held = {**(frozen or {}), **dict.fromkeys(subset, 0.0)}
-                rest = [ax for ax in transform_axes if ax not in subset]
-                if not rest:
-                    value = trace(*(held.get(ax, 0.0) for ax in AXES))
-                else:
-                    eo = fld.trace_exp_order(trace)
-                    value = _transform_over(eo, rest, vars, cfg, held)
-                out.put(subset, idx, value)
+    for subset, idx in _boundary_entries(_as_order_map(orders)):
+        trace = fld.smooth
+        for ax, i in zip(subset, idx):
+            trace = trace.partial_n(ax, i)
+        held = {**(frozen or {}), **dict.fromkeys(subset, 0.0)}
+        rest = [ax for ax in transform_axes if ax not in subset]
+        if not rest:
+            value = trace(*(held.get(ax, 0.0) for ax in AXES))
+        else:
+            value = _transform_over(fld.trace_exp_order(trace), rest, vars, cfg, held)
+        out.put(subset, idx, value)
     return out
 
 
 def _transform_over(f: ExpOrderFn, axes: Sequence[str], vars, cfg, frozen):
+    """Transform over one or two axes: each caller holds at least one fixed."""
     if len(axes) == 1:
         return shehu_1d(f, axes[0], vars, cfg, frozen)
-    if len(axes) == 2:
-        return shehu_2d(f, tuple(axes), vars, cfg, frozen)
-    return shehu_3d(f, vars, cfg)
+    return shehu_2d(f, tuple(axes), vars, cfg, frozen)
 
 
 # -- convolution -------------------------------------------------------------

@@ -364,6 +364,9 @@ def wright_series(
             evaluated indices and the scale factors permit divergence
             (sum A >= sum B + 1; below that the series is entire and a
             long growth phase is normal).
+        ConvergenceError: when no term of the first ``max_terms`` drops
+            below 1e-16 of the partial sum, or when the last term summed is
+            not below 1e-16 of the value re-summed in extended precision.
     """
     sc = complex(sigma)
     log_abs_sigma = math.log(abs(sc)) if sc != 0 else -math.inf
@@ -422,13 +425,23 @@ def wright_series(
         prev_mag = mag
         if s > 2 and mag <= 1e-16 * max(abs(total), 1e-300):
             break
+    else:
+        if used:
+            raise ConvergenceError(f"series unfinished after {max_terms} terms "
+                                   f"at sigma={sigma!r}")
 
     # Cancellation estimate: largest term over result with the gamma
     # argument rounding amplification; escalate to extended precision when
-    # double precision cannot deliver ~1e-12 of the sum.
+    # double precision cannot deliver ~1e-12 of the sum.  The stop test
+    # compared terms with the spoiled double sum, so it is checked again
+    # against the re-summed value.
     scale = max(abs(total), 1e-300)
     if used and max_mag * 2e-15 * max(1.0, math.log(2.0 + max_mag)) > 1e-12 * scale:
         total = _wright_sum_mp(spec, sc, used_indices, max_mag, scale)
+        if mag > 1e-16 * abs(total):
+            raise ConvergenceError(f"cancellation stopped the series early at "
+                                   f"sigma={sigma!r}: last term {mag:.3e}, sum "
+                                   f"{abs(total):.3e}")
 
     return WrightSeriesResult(
         value=total,

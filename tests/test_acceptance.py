@@ -27,8 +27,7 @@ from shehu.fpde import (
     HeatSpec,
     TelegraphSpec,
     reconstruct,
-    series_solution_heat,
-    series_solution_telegraph,
+    series_solution,
     transform_residual,
     transform_solution,
 )
@@ -285,7 +284,7 @@ def test_a10_series_guard_behavior():
     """A10: printed series coefficients are fully guarded, finite, stable."""
     with _Gate("A10", 5.0):
         runs = [
-            series_solution_heat((0.5, 0.5, 0.5), truncation=6, gamma=0.7)
+            series_solution(HeatSpec(gamma=0.7), (0.5, 0.5, 0.5), truncation=6)
             for _ in range(2)
         ]
         assert runs[0].guarded_count > 0
@@ -293,8 +292,9 @@ def test_a10_series_guard_behavior():
         assert runs[0] == runs[1]
 
         runs_t = [
-            series_solution_telegraph(
-                (0.4, 0.6, 0.8), truncation=4, gamma=0.5, alpha=0.5, beta=1.0
+            series_solution(
+                TelegraphSpec(gamma=0.5, alpha=0.5, beta=1.0), (0.4, 0.6, 0.8),
+                truncation=4,
             )
             for _ in range(2)
         ]

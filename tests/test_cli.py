@@ -6,8 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from shehu.cli import load_config, main
-from shehu.errors import ConfigError
+from shehu.cli import _inv_config, _quad_config, build_parser, load_config, main
+from shehu.errors import ConfigError, DivergenceError
+from shehu.forward import (
+    QuadratureConfig,
+    RatioPoint,
+    analytic_transform,
+    shehu_1d,
+    shehu_3d,
+)
+from shehu.funclib import get_field
+from shehu.inverse import InversionConfig
 
 
 def run(capsys, *argv):
@@ -51,6 +60,32 @@ class TestTransform:
 
     def test_missing_args(self, capsys):
         assert run(capsys, "transform", "--dims", "1", "--func", "const")[0] == 2
+
+    @pytest.mark.parametrize("argv, ratio, kind, params", [
+        (("--func", "power"), 2.0, "power", {"nu": 0.5}),
+        (("--func", "ml-kernel"), 1.5, "ml_kernel", {"gamma": 0.5, "beta": 1.0, "c": -1.0}),
+    ])
+    def test_parametrised_fields(self, capsys, argv, ratio, kind, params):
+        """--func power and ml-kernel at their default parameters."""
+        code, out, _ = run(capsys, "transform", *argv, "--ratios", str(ratio))
+        assert code == 0
+        got = float(out.strip().split(",")[-1])
+        assert got == pytest.approx(analytic_transform(kind, ratio, **params), rel=1e-9)
+
+    def test_numerical_failure_exits_1(self, capsys):
+        """A ShehuError is reported on stderr with exit 1, stdout left empty."""
+        with pytest.raises(DivergenceError) as exc:
+            shehu_1d(get_field("const").exp_order(), "t", RatioPoint(t=(-1.0, 1.0)))
+        code, out, err = run(capsys, "transform", "--func", "const", "--ratios", "-1")
+        assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+
+    def test_default_configs_are_the_library_defaults(self, capsys):
+        code, out, _ = run(capsys, "transform", "--dims", "3", "--func", "exp-xyt",
+                           "--ratios", "1.3,0.9,1.1")
+        expect = shehu_3d(get_field("exp-xyt").exp_order(),
+                          RatioPoint.from_ratios(1.3, 0.9, 1.1))
+        assert code == 0
+        assert float(out.split(",")[-1]) == expect
 
     def test_determinism(self, capsys):
         args = ("transform", "--dims", "2", "--func", "sine-product",
@@ -279,6 +314,24 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert err.startswith("error: contour_scale must be finite and positive")
+
+    def test_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed 11\n")
+        code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "roundtrip")
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:1: expected 'key = value'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--func", "const", "--ratios", "1"),
+        ("invert", "--pair", "one-over-s", "--points", "1"),
+        ("solve", "heat", "--mode", "reconstruct"),
+    ])
+    def test_no_flag_or_key_leaves_library_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        args.config_values = {}
+        assert _quad_config(args) == QuadratureConfig()
+        assert _inv_config(args) == InversionConfig()
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "--config", "/nonexistent/x.cfg",

@@ -21,10 +21,11 @@ from shehu.fpde import (
     HeatSpec,
     TelegraphSpec,
     TransformSolution,
+    _eval_guarded,
+    _TermSpec,
     binomial_series,
     reconstruct,
-    series_solution_heat,
-    series_solution_telegraph,
+    series_solution,
     transform_residual,
     transform_solution,
 )
@@ -177,15 +178,15 @@ class TestBinomialSeries:
 class TestGuardedSeries:
     def test_heat_fully_guarded(self):
         """Every printed term carries gamma-pole factors; value stays finite."""
-        res = series_solution_heat((0.5, 0.5, 0.5), truncation=6, gamma=0.7)
+        res = series_solution(HeatSpec(gamma=0.7), (0.5, 0.5, 0.5), truncation=6)
         assert res.guarded_count > 0
         assert res.terms_used == 0
         assert math.isfinite(res.value)
         assert res.value == 0.0
 
     def test_telegraph_fully_guarded(self):
-        res = series_solution_telegraph(
-            (0.4, 0.6, 0.8), truncation=4, gamma=0.5, alpha=0.5, beta=1.0
+        res = series_solution(
+            TelegraphSpec(gamma=0.5, alpha=0.5, beta=1.0), (0.4, 0.6, 0.8), truncation=4
         )
         assert res.guarded_count > 0
         assert res.terms_used == 0
@@ -194,25 +195,28 @@ class TestGuardedSeries:
     @pytest.mark.parametrize("gamma", [1.5, -0.3, 0.0])
     def test_heat_gamma_validated(self, gamma):
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
-            series_solution_heat((0.5, 0.5, 0.5), truncation=4, gamma=gamma)
+            series_solution(HeatSpec(gamma=gamma), (0.5, 0.5, 0.5), truncation=4)
 
     @pytest.mark.parametrize("truncation", [0, -3, 2.0])
-    @pytest.mark.parametrize("series", [series_solution_heat, series_solution_telegraph])
-    def test_truncation_below_one_refused(self, series, truncation):
+    @pytest.mark.parametrize("spec", [
+        pytest.param(HeatSpec(gamma=0.5), id="series_solution_heat"),
+        pytest.param(TelegraphSpec(gamma=0.5), id="series_solution_telegraph"),
+    ])
+    def test_truncation_below_one_refused(self, spec, truncation):
         with pytest.raises(ValueError, match="truncation must be an integer >= 1"):
-            series((0.5, 0.5, 0.5), truncation=truncation)
+            series_solution(spec, (0.5, 0.5, 0.5), truncation=truncation)
 
     def test_deterministic(self):
-        a = series_solution_heat((0.5, 0.5, 0.5), truncation=5, gamma=0.6)
-        b = series_solution_heat((0.5, 0.5, 0.5), truncation=5, gamma=0.6)
+        a = series_solution(HeatSpec(gamma=0.6), (0.5, 0.5, 0.5), truncation=5)
+        b = series_solution(HeatSpec(gamma=0.6), (0.5, 0.5, 0.5), truncation=5)
         assert (a.value, a.guarded_count, a.terms_used) == (
             b.value, b.guarded_count, b.terms_used,
         )
 
     def test_truncation_growth_keeps_classification(self):
         """Doubling truncation never un-guards an existing term."""
-        small = series_solution_heat((0.5, 0.5, 0.5), truncation=4, gamma=0.6)
-        large = series_solution_heat((0.5, 0.5, 0.5), truncation=8, gamma=0.6)
+        small = series_solution(HeatSpec(gamma=0.6), (0.5, 0.5, 0.5), truncation=4)
+        large = series_solution(HeatSpec(gamma=0.6), (0.5, 0.5, 0.5), truncation=8)
         assert small.terms_used == large.terms_used == 0
         assert large.guarded_count > small.guarded_count
 
@@ -226,12 +230,36 @@ class TestGuardedSeries:
 
         x, y, t = 0.5, 0.7, 0.9
         g = 0.5
-        res = series_solution_heat((x, y, t), truncation=4, gamma=g,
-                                   coefficient_override=override)
+        res = series_solution(HeatSpec(gamma=g), (x, y, t), truncation=4,
+                              coefficient_override=override)
         # group-3 monomial: x^(2m-2u-g) y^(-2m-2) t^(g u + g - 1), u=1, m=2
         expect = 2.5 * x ** (4 - 2 - g) * y ** -6.0 * t ** (2 * g - 1.0)
         assert res.terms_used == 1
         assert_allclose(res.value, expect, rtol=1e-14)
+
+    def test_pole_free_terms_are_summed(self):
+        """No printed term reaches the evaluation path, so a synthetic group
+        does: gamma factors below zero carry their sign, and a term beyond
+        exp(700) is guarded instead of overflowing."""
+
+        def term(idx):
+            (k,) = idx
+            return _TermSpec(num_gammas=(k + 0.5, -1.5), den_gammas=(-0.5,),
+                             factorial_index=k, sign=-1.0, log_prefactor=0.3,
+                             powers=(1.0, 2.0, 0.5 * k))
+
+        def huge(idx):
+            return _TermSpec((1.0,), (), 0, 1.0, 701.0, (0.0, 0.0, 0.0))
+
+        x, y, t = 0.5, 0.7, 0.9
+        res = _eval_guarded([("syn", 1, term), ("huge", 1, huge)], 5, (x, y, t), None)
+        expect = sum(
+            -math.exp(0.3) * math.gamma(k + 0.5) * math.gamma(-1.5)
+            / (math.gamma(-0.5) * math.factorial(k)) * x * y * y * t ** (0.5 * k)
+            for k in range(5)
+        )
+        assert (res.terms_used, res.guarded_count) == (5, 5)
+        assert_allclose(res.value, expect, rtol=1e-13)
 
 
 class TestReconstructAndGrid:

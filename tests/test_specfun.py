@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erfcx
 
-from shehu.errors import ConvergenceError, DivergenceError, PoleError
+from shehu import specfun
+from shehu.errors import ConvergenceError, DivergenceError, PoleError, ShehuError
 from shehu.specfun import (
     MLParams,
     WrightSeriesSpec,
@@ -282,6 +283,45 @@ class TestWrightSeries:
         spec = WrightSeriesSpec(upper=((1, 1), (1, 1), (1, 1)), lower=((1, 0.1),))
         with pytest.raises(DivergenceError):
             wright_series(spec, 5.0)
+
+    @pytest.mark.parametrize("sigma", [-4.0, -8.0, -15.0, -30.0])
+    @pytest.mark.parametrize("g, b", [(0.5, 1.0), (0.8, 1.2), (1.0, 1.0)])
+    def test_large_negative_sigma_right_or_raises(self, monkeypatch, g, b, sigma):
+        """Each value matches E_{g,b} or raises: none comes back wrong.
+
+        At sigma = -4 cancellation sends every pair to the extended-precision
+        re-sum, which must then deliver the value."""
+        resummed = []
+        resum = specfun._wright_sum_mp
+
+        def spy(*args):
+            resummed.append(args)
+            return resum(*args)
+
+        monkeypatch.setattr(specfun, "_wright_sum_mp", spy)
+        spec = WrightSeriesSpec(upper=((1, 1),), lower=((b, g),))
+        ref = mittag_leffler(MLParams(g, b), sigma)
+        try:
+            res = wright_series(spec, sigma)
+        except ShehuError:
+            assert sigma != -4.0
+            return
+        assert_allclose(res.value.real, ref, rtol=1e-10)
+        if sigma == -4.0:
+            assert resummed
+
+    def test_exhausted_terms_raise(self):
+        """E_{1/2,1}(-8): 200 terms were summing to -2.47e22, not 0.0700."""
+        spec = WrightSeriesSpec(upper=((1, 1),), lower=((1.0, 0.5),))
+        with pytest.raises(ConvergenceError, match="after 200 terms"):
+            wright_series(spec, -8.0)
+
+    def test_cancelled_stop_test_raises(self):
+        """E_{1,1}(-30): the stop test met on the spoiled double sum left
+        the re-sum 5.6e-7 short of exp(-30)."""
+        spec = WrightSeriesSpec(upper=((1, 1),), lower=((1.0, 1.0),))
+        with pytest.raises(ConvergenceError, match="cancellation stopped the series early"):
+            wright_series(spec, -30.0)
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
