@@ -69,6 +69,7 @@ from .specfun import (
     WrightSeriesSpec,
     gamma_fn,
     mittag_leffler,
+    mittag_leffler_array,
     wright_series,
 )
 

@@ -442,7 +442,12 @@ def _eval_guarded(
     point: tuple[float, float, float],
     override: Callable[[str, tuple[int, ...]], float | None] | None,
 ) -> GuardedSeriesResult:
-    """Sum each group's terms over indices 0 .. truncation-1 in every sum."""
+    """Sum each group's terms over indices 0 .. truncation-1 in every sum.
+
+    A group is (id, number of sums, term builder, gamma arguments that every
+    term carries); without an override, one of the last on a pole guards
+    all the group's terms without building them.
+    """
     x, y, t = point
     if min(x, y, t) <= 0.0:
         raise ValueError("series evaluation point must be componentwise positive")
@@ -452,7 +457,10 @@ def _eval_guarded(
     total = 0.0
     guarded = 0
     used = 0
-    for group_id, n_sums, spec_fn in groups:
+    for group_id, n_sums, spec_fn, fixed_gammas in groups:
+        if override is None and any(is_gamma_pole(a) for a in fixed_gammas):
+            guarded += truncation ** n_sums
+            continue
         for idx in product(range(truncation), repeat=n_sums):
             spec: _TermSpec = spec_fn(idx)
             if override is not None:
@@ -484,7 +492,7 @@ def _eval_guarded(
 
 
 def _series_groups(spec: HeatSpec | TelegraphSpec):
-    """The three printed term groups of ``spec``'s series, as (id, sums, term).
+    """The three printed term groups of ``spec``'s series, as (id, sums, term, fixed).
 
     The telegraph's groups are the heat's with two leading sums over p and
     q; each of their terms gains G(p+q) in its numerator and
@@ -507,15 +515,18 @@ def _series_groups(spec: HeatSpec | TelegraphSpec):
         return _TermSpec(num_gammas, den_gammas, factorial_index, sign, log_prefactor,
                          powers)
 
+    # The printed G(-1) factors of each group's every term.
+    fixed1, fixed2, fixed3 = (-1.0, -1.0, -1.0), (-1.0, -1.0), (-1.0,)
+
     def group1(idx):
         *pq, u, v, n, m = idx
         x_power = 2.0 * m - 2.0 * u - 2.0 * v - 1.0 if pq else 2.0 * m - 2.0 * u - 2.0
         return term(
             pq, num_gammas=(m - u,), factorial_index=m, sign=(-1.0) ** (v + n + m),
-            den_gammas=(-1.0, -1.0, -1.0, float(u),
-                        2.0 * m - 2.0 * u - 2.0 * v,
-                        -2.0 * m - 2.0 * n,
-                        g * u + 1.0),
+            den_gammas=fixed1 + (float(u),
+                                 2.0 * m - 2.0 * u - 2.0 * v,
+                                 -2.0 * m - 2.0 * n,
+                                 g * u + 1.0),
             log_prefactor=-(2.0 * u + 2.0 * v + 2.0 * n + 2.0) * lpi,
             powers=(x_power, -2.0 * m - 2.0 * n - 1.0, g * u),
         )
@@ -524,10 +535,10 @@ def _series_groups(spec: HeatSpec | TelegraphSpec):
         *pq, u, m, r = idx
         return term(
             pq, num_gammas=(m - u,), factorial_index=m, sign=-((-1.0) ** (m + r)),
-            den_gammas=(-1.0, -1.0, float(u),
-                        2.0 * m - 2.0 * u - 1.0,
-                        -2.0 * m - g * r - g + 1.0,
-                        g * u + g + 1.0),
+            den_gammas=fixed2 + (float(u),
+                                 2.0 * m - 2.0 * u - 1.0,
+                                 -2.0 * m - g * r - g + 1.0,
+                                 g * u + g + 1.0),
             log_prefactor=-(1.0 + 2.0 * u) * lpi,
             powers=(2.0 * m - u - 2.0, -2.0 * m - g * r - g, g * u + g),
         )
@@ -536,16 +547,16 @@ def _series_groups(spec: HeatSpec | TelegraphSpec):
         *pq, u, m = idx
         return term(
             pq, num_gammas=(m - u,), factorial_index=m, sign=-((-1.0) ** m),
-            den_gammas=(-1.0, float(u),
-                        2.0 * m - 2.0 * u - g + 1.0,
-                        -2.0 * m - 1.0,
-                        g * u + g),
+            den_gammas=fixed3 + (float(u),
+                                 2.0 * m - 2.0 * u - g + 1.0,
+                                 -2.0 * m - 1.0,
+                                 g * u + g),
             log_prefactor=-(1.0 + 2.0 * u) * lpi,
             powers=(2.0 * m - 2.0 * u - g, -2.0 * m - 2.0, g * u + g - 1.0),
         )
 
-    return [(f"{name}1", lead + 4, group1), (f"{name}2", lead + 3, group2),
-            (f"{name}3", lead + 2, group3)]
+    return [(f"{name}1", lead + 4, group1, fixed1), (f"{name}2", lead + 3, group2, fixed2),
+            (f"{name}3", lead + 2, group3, fixed3)]
 
 
 def series_solution(

@@ -17,7 +17,9 @@ on a pole are skipped and counted instead of aborting the evaluation.
 The Mittag-Leffler function has two paths: its series in double precision
 where that certifies itself, and otherwise contour inversion of its own
 transform pair s^(g-b)/(s^g - z) with every pole taken as an exact
-residue.  Extended precision (mpmath) serves only the power series.
+residue.  ``mittag_leffler`` takes a scalar; ``mittag_leffler_array``
+takes an array and gives each element its scalar call's value to 1e-12.
+Extended precision (mpmath) serves only the power series.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, PoleError
+from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 
 __all__ = [
     "MLParams",
@@ -39,6 +42,7 @@ __all__ = [
     "gamma_sign",
     "is_gamma_pole",
     "mittag_leffler",
+    "mittag_leffler_array",
     "wright_series",
 ]
 
@@ -135,14 +139,22 @@ class MLParams:
             )
 
 
-def _ml_series_float(g: float, b: float, z: complex, max_terms: int = 600):
-    """Direct series in double precision; returns (value, relative error estimate)."""
+# The array path takes _ML_ROWS elements at a time, each series on the
+# first width of _ML_WIDTHS that brings its stop or rejection.
+_ML_TERMS = 600
+_ML_WIDTHS = (40, 120, _ML_TERMS)
+_ML_ROWS = 256
+
+
+def _ml_series_float(g: float, b: float, z: complex, max_terms: int = _ML_TERMS):
+    """Direct series in double precision; returns (value, relative error estimate).
+
+    ``inf`` estimates: a term overflows, the terms run out, or ``_ml_doomed``.
+    """
     log_abs_z = math.log(abs(z))
     phase = cmath.phase(z)
     total = 0.0 + 0.0j
-    max_mag = 0.0
-    arg_at_max = b
-    term_mag = math.inf
+    max_mag = rounding = prev = 0.0
     for r in range(max_terms):
         arg = g * r + b
         log_mag = r * log_abs_z - math.lgamma(arg)
@@ -151,17 +163,80 @@ def _ml_series_float(g: float, b: float, z: complex, max_terms: int = 600):
         term_mag = math.exp(log_mag)
         total += term_mag * cmath.exp(1j * r * phase)
         if term_mag > max_mag:
-            max_mag, arg_at_max = term_mag, arg
-        if r > 4 and term_mag < max_mag and term_mag <= 1e-18 * max(abs(total), 1e-300):
-            break
+            # Term error includes double rounding of the gamma argument,
+            # amplified by d(lgamma)/dx ~ log(x) at the dominant term.
+            max_mag = term_mag
+            rounding = max_mag * 1e-16 * (1.0 + arg * math.log(max(arg, 2.0)))
+        elif r > 4 and term_mag < max_mag:
+            scale = max(abs(total), 1e-300)
+            if term_mag <= 1e-18 * scale:
+                break
+            if (rounding > 2e-12 * scale and term_mag < prev  # cheap tests first
+                    and _ml_doomed(rounding, scale, term_mag, prev - term_mag)):
+                return total, math.inf
+        prev = term_mag
     else:
         return total, math.inf
-    scale = max(abs(total), 1e-300)
-    # Term error includes double rounding of the gamma argument, amplified
-    # by d(lgamma)/dx ~ log(x) at the dominant term.
-    ulp_factor = 1.0 + arg_at_max * math.log(max(arg_at_max, 2.0))
-    err = (max_mag * 1e-16 * ulp_factor + term_mag) / scale
-    return total, err
+    return total, (rounding + term_mag) / scale
+
+
+def _ml_doomed(rounding, scale, term_mag, drop):
+    """Whether the peak's rounding exceeds 1e-12 of a bound on the final |sum|:
+    past the peak the log-concave terms fall at least by the ratio of the last
+    two, so the rest sums to at most term_mag^2 / drop; 2 covers rounding."""
+    return rounding > 2e-12 * (scale + term_mag * term_mag / drop)
+
+
+@lru_cache(maxsize=32)
+def _ml_term_table(g: float, b: float) -> np.ndarray:
+    """Rows lgamma(a) and 1 + a log max(a, 2) at a = g r + b, as the scalar loop forms them."""
+    args = [g * r + b for r in range(_ML_TERMS)]
+    table = np.array([[math.lgamma(a) for a in args],
+                      [1.0 + a * math.log(max(a, 2.0)) for a in args]])
+    table.flags.writeable = False
+    return table
+
+
+def _ml_series_rows(g: float, b: float, z: np.ndarray):
+    """``_ml_series_float`` at each element of the nonzero 1-D array ``z``: (values, accepted).
+
+    Its terms are the scalar loop's bit for bit: log|z| and arg z come from
+    ``math``, and numpy's complex exp calls libm's exp (its float exp does
+    not).  Real input sums real signs.
+    """
+    lgam, ulp = _ml_term_table(g, b)
+    value, accepted = np.zeros_like(z), np.zeros(z.size, dtype=bool)
+    log_abs = np.array([math.log(abs(v)) for v in z.tolist()])
+    turn = (1j * np.array([cmath.phase(v) for v in z.tolist()]) if z.dtype.kind == "c"
+            else np.where(z < 0.0, -1.0, 1.0))
+    rows = np.arange(z.size)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for width in _ML_WIDTHS:
+            r = np.arange(width)
+            log_mag = log_abs[rows, None] * r - lgam[:width]
+            mag = np.exp(log_mag + 0j).real
+            rot = np.exp(turn[rows, None] * r) if z.dtype.kind == "c" else turn[rows, None] ** r
+            sums = np.cumsum(mag * rot, axis=1)
+            peaks = np.maximum.accumulate(mag, axis=1)
+            drop = -np.diff(mag, axis=1, prepend=0.0)
+            new = np.diff(peaks, axis=1, prepend=0.0) > 0.0
+            rnd = np.maximum.accumulate(np.where(new, mag * 1e-16 * ulp[:width], 0.0), axis=1)
+            scale = np.maximum(np.abs(sums), 1e-300)
+            past = (mag < peaks) & (r > 4)
+            stop = past & (mag <= 1e-18 * scale)
+            over = log_mag > 700.0
+            doomed = past & (drop > 0.0) & _ml_doomed(rnd, scale, mag, drop)
+            event = stop | over | doomed
+            done = event.any(axis=1)
+            i = np.flatnonzero(done)
+            j = event[i].argmax(axis=1)
+            value[rows[i]] = sums[i, j]
+            accepted[rows[i]] = (stop[i, j] & ~over[i, j]
+                                 & ((rnd[i, j] + mag[i, j]) / scale[i, j] <= 1e-12))
+            rows = rows[~done]
+            if not rows.size:
+                break
+    return value, accepted
 
 
 # Garrappa's contour aims at absolute error 1e-14: that keeps 1e-11 relative
@@ -236,42 +311,77 @@ def _ml_unbounded_parabola(lo: float, p: float):
     return _ML_MU_MAX, w / n, n
 
 
-def _ml_contour(g: float, b: float, z: complex) -> complex:
-    """E_{g,b}(z) as the inverse transform of s^(g-b)/(s^g - z) at t = 1.
-
-    Of the regions between consecutive levels of phi(s) = (Re s + |s|)/2
-    over the poles (and the one above the last), the one whose parabola
-    s(u) = mu (1 + iu)^2 needs the fewest trapezoid nodes wins.  Every
-    pole is subtracted from the integrand and added back as its residue
-    s^(1-b) e^s / g: a pole left to the sum would leave the sum's absolute
-    error floor on small results.  Non-finite beyond the double range.
-    """
-    poles = _ml_poles(g, z)
-    levels = [0.0] + sorted({v for s in poles if (v := (s.real + abs(s)) / 2.0) > 1e-15})
+@lru_cache(maxsize=256)
+def _ml_parabola(g: float, b: float, levels: tuple[float, ...]):
+    """(mu, h, N) of the region between consecutive pole ``levels`` (and above
+    the last) whose parabola needs the fewest nodes; N = inf if none has room."""
     found = []
     for j, lo in enumerate(levels):
         p = 1.0 if j else max(0.0, 2.0 * (b - g - 1.0))
         if lo < _ML_MU_MAX:
             found.append(_ml_bounded_parabola(lo, levels[j + 1], p)
                          if j + 1 < len(levels) else _ml_unbounded_parabola(lo, p))
-    mu, h, n = min(filter(None, found), key=lambda c: c[2], default=(0.0, 0.0, math.inf))
-    if n > 200:
-        raise ConvergenceError(
-            f"no Mittag-Leffler contour reaches 1e-14 within 200 nodes at "
-            f"z={z!r} with gamma={g}, beta={b}"
-        )
-    u = h * np.arange(-n, n + 1)
-    s = mu * (1.0 + 1j * u) ** 2
-    sj = np.array(poles)
-    res = sj ** (1.0 - b) / g
-    f = s ** (g - b) / (s ** g - z) - (res / (s[:, None] - sj)).sum(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tail = np.sum(res * np.exp(sj))
-    return complex(h * mu / math.pi * np.sum(np.exp(s) * f * (1.0 + 1j * u)) + tail)
+    return min(filter(None, found), key=lambda c: c[2], default=(0.0, 0.0, math.inf))
+
+
+def _ml_contour(g: float, b: float, z: np.ndarray) -> np.ndarray:
+    """E_{g,b} at the nonzero complex 1-D array ``z`` as the inverse transform of
+    s^(g-b)/(s^g - z) at t = 1; ``inf`` on positive overflow.
+
+    Elements are batched by pole levels and count, which fix the parabola
+    s(u) = mu (1 + iu)^2 and its 2N + 1 trapezoid nodes.  Every pole is
+    subtracted from the integrand and added back as its residue
+    s^(1-b) e^s / g: a pole left to the sum would leave the sum's absolute
+    error floor on small results.
+
+    Raises:
+        ConvergenceError: as ``mittag_leffler``, for the first element.
+    """
+    out, zl = np.full(z.shape, complex(math.nan)), z.tolist()
+    axis_poles = g == 1.0 or not _ml_poles(g, complex(-1.0))  # then [z] or none on z < 0
+    batches = {}
+    for i, zi in enumerate(zl):
+        if axis_poles and zi.imag == 0.0 and zi.real < 0.0:
+            poles, levels = ([zi] if g == 1.0 else []), (0.0,)
+        else:
+            try:
+                poles = _ml_poles(g, zi)
+            except OverflowError:  # a pole's modulus |z|^(1/g) is beyond the double range
+                continue
+            levels = (0.0,) + tuple(sorted({v for s in poles
+                                            if (v := (s.real + abs(s)) / 2.0) > 1e-15}))
+        batches.setdefault((levels, len(poles)), []).append((i, poles))
+    for (levels, k), members in batches.items():
+        mu, h, n = _ml_parabola(g, b, levels)
+        if n > 200:
+            raise ConvergenceError(
+                f"no Mittag-Leffler contour reaches 1e-14 within 200 nodes at "
+                f"z={zl[members[0][0]]!r} with gamma={g}, beta={b}"
+            )
+        idx = [i for i, _ in members]
+        sj = np.array([p for _, p in members]).reshape(len(idx), k)
+        u = h * np.arange(-n, n + 1)
+        s = mu * (1.0 + 1j * u) ** 2
+        res = sj ** (1.0 - b) / g
+        f = (s ** (g - b) / (s ** g - z[idx, None])
+             - (res[:, None, :] / (s[:, None] - sj[:, None, :])).sum(axis=2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = np.sum(res * np.exp(sj), axis=1)
+        out[idx] = h * mu / math.pi * np.sum(np.exp(s) * f * (1.0 + 1j * u), axis=1) + tail
+    bad = ~np.isfinite(out)
+    if bad.any():
+        refused = np.flatnonzero(bad & ~((z.imag == 0.0) & (z.real > 0.0)))
+        if refused.size:
+            raise ConvergenceError(
+                f"Mittag-Leffler contour leaves the double range at "
+                f"z={zl[refused[0]]!r} with gamma={g}, beta={b}"
+            )
+        out[bad] = math.inf  # every series term is positive: a true overflow
+    return out
 
 
 def mittag_leffler(p: MLParams, z: complex | float) -> complex | float:
-    """Two-parameter Mittag-Leffler function E_{gamma,beta}(z).
+    """Two-parameter Mittag-Leffler function E_{gamma,beta}(z) at a scalar ``z``.
 
     The double-precision series runs on |z| <= 5 and on the positive real
     axis, wherever its own error estimate meets 1e-12 relative (the estimate
@@ -281,9 +391,10 @@ def mittag_leffler(p: MLParams, z: complex | float) -> complex | float:
     2015; Weideman & Trefethen, Math. Comp. 76, 2007).  Accuracy: 1e-11
     relative, or 1e-14 absolute where |E| < 1e-3, for 1/2 <= gamma <= 2,
     0.2 <= beta <= 2 and |z| <= 100.  On the positive real axis a value
-    beyond the double range is ``inf``.
+    beyond the double range is ``inf``.  Arrays: ``mittag_leffler_array``.
 
     Raises:
+        DomainError: when ``z`` has a NaN part.
         ConvergenceError: when no contour reaches its target within 200
             nodes (seen only for gamma > 2), or when the value overflows
             off the positive real axis.
@@ -291,6 +402,8 @@ def mittag_leffler(p: MLParams, z: complex | float) -> complex | float:
     g, b = p.gamma, p.beta
     want_complex = isinstance(z, complex) and z.imag != 0.0
     zc = complex(z)
+    if cmath.isnan(zc):
+        raise DomainError(f"Mittag-Leffler argument is NaN: z={z!r}")
     if zc == 0:
         return 1.0 / math.gamma(b)
 
@@ -299,18 +412,43 @@ def mittag_leffler(p: MLParams, z: complex | float) -> complex | float:
         val, err = _ml_series_float(g, b, zc)
         if err <= 1e-12:
             return val if want_complex else val.real
-    try:
-        val = _ml_contour(g, b, zc)
-    except OverflowError:  # a pole's modulus |z|^(1/gamma) is beyond the double range
-        val = complex(math.nan)
-    if not cmath.isfinite(val):
-        if positive:
-            return math.inf  # every series term is positive: a true overflow
-        raise ConvergenceError(
-            f"Mittag-Leffler contour leaves the double range at z={z!r} "
-            f"with gamma={g}, beta={b}"
-        )
+    val = complex(_ml_contour(g, b, np.array([zc]))[0])
     return val if want_complex else val.real
+
+
+def mittag_leffler_array(p: MLParams, z: np.ndarray) -> np.ndarray:
+    """``mittag_leffler`` at each element of the array ``z``, any shape.
+
+    Each element takes its scalar call's regime, the series summed over the
+    array and the contour in one broadcast per parabola.  Values agree with
+    scalar calls to 1e-12 relative (1e-14 absolute where |E| < 1e-3) and do
+    not depend on the rest of the array.  Complex input gives complex
+    values, real where z is.
+
+    Raises:
+        DomainError: when an element has a NaN part, naming the first index.
+        ConvergenceError: as the first element's scalar call that raises.
+    """
+    g, b = p.gamma, p.beta
+    z = np.asarray(z)
+    want_complex = z.dtype.kind == "c"
+    flat = z.astype(complex if want_complex else float).ravel()
+    if np.isnan(flat).any():
+        at = tuple(int(k) for k in np.unravel_index(np.isnan(flat).argmax(), z.shape))
+        raise DomainError(f"Mittag-Leffler argument is NaN at index {at}")
+    out = np.full_like(flat, 1.0 / math.gamma(b))
+    for lo in range(0, flat.size, _ML_ROWS):
+        zs, vals = flat[lo:lo + _ML_ROWS], out[lo:lo + _ML_ROWS]
+        series = np.flatnonzero([v != 0 and (abs(v) <= 5.0 or v.imag == 0.0 and v.real > 0.0)
+                                 for v in zs.tolist()])
+        val, ok = _ml_series_rows(g, b, zs[series])
+        vals[series[ok]] = val[ok]
+        rest = np.setdiff1d(np.flatnonzero(zs), series[ok])
+        val = _ml_contour(g, b, zs[rest].astype(complex))
+        vals[rest] = val if want_complex else val.real
+    if want_complex:
+        out.imag[flat.imag == 0.0] = 0.0
+    return out.reshape(z.shape)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shehu import fpde
 from shehu.errors import (
     ContourError,
     CostBudgetError,
@@ -22,6 +23,7 @@ from shehu.fpde import (
     TelegraphSpec,
     TransformSolution,
     _eval_guarded,
+    _series_groups,
     _TermSpec,
     binomial_series,
     reconstruct,
@@ -206,6 +208,39 @@ class TestGuardedSeries:
         with pytest.raises(ValueError, match="truncation must be an integer >= 1"):
             series_solution(spec, (0.5, 0.5, 0.5), truncation=truncation)
 
+    @pytest.mark.parametrize("override", [False, True], ids=["literal", "override"])
+    @pytest.mark.parametrize("truncation", [3, 4])
+    @pytest.mark.parametrize("spec", [
+        pytest.param(HeatSpec(gamma=0.7), id="series_solution_heat"),
+        pytest.param(TelegraphSpec(gamma=0.7, alpha=0.5, beta=1.3), id="series_solution_telegraph"),
+    ])
+    def test_pole_groups_match_the_term_loop(self, spec, truncation, override):
+        """A group whose index-free G(-1) factors sit on a pole is counted
+        without building its terms; the result equals the term-by-term
+        loop's bit for bit, and an override still reaches every index."""
+
+        def one_term(group, idx):
+            return 2.5 if group.endswith("3") and idx[-2:] == (1, 2) else None
+
+        fn = one_term if override else None
+        point = (0.5, 0.7, 0.9)
+        got = series_solution(spec, point, truncation, fn)
+        looped = [(gid, n, term, ()) for gid, n, term, _ in _series_groups(spec)]
+        ref = _eval_guarded(looped, truncation, point, fn)
+        assert (got.value.hex(), got.guarded_count, got.terms_used) == (
+            ref.value.hex(), ref.guarded_count, ref.terms_used)
+        assert (got.terms_used > 0) == override
+
+    def test_default_truncation_builds_no_term(self, monkeypatch):
+        """The telegraph's 299,008 printed terms at truncation 8 are counted."""
+
+        def built(*args):
+            raise AssertionError("a term was built")
+
+        monkeypatch.setattr(fpde, "_TermSpec", built)
+        res = series_solution(TelegraphSpec(gamma=0.7), (0.5, 0.5, 0.5))
+        assert (res.value, res.guarded_count, res.terms_used) == (0.0, 299008, 0)
+
     def test_deterministic(self):
         a = series_solution(HeatSpec(gamma=0.6), (0.5, 0.5, 0.5), truncation=5)
         b = series_solution(HeatSpec(gamma=0.6), (0.5, 0.5, 0.5), truncation=5)
@@ -252,7 +287,7 @@ class TestGuardedSeries:
             return _TermSpec((1.0,), (), 0, 1.0, 701.0, (0.0, 0.0, 0.0))
 
         x, y, t = 0.5, 0.7, 0.9
-        res = _eval_guarded([("syn", 1, term), ("huge", 1, huge)], 5, (x, y, t), None)
+        res = _eval_guarded([("syn", 1, term, ()), ("huge", 1, huge, ())], 5, (x, y, t), None)
         expect = sum(
             -math.exp(0.3) * math.gamma(k + 0.5) * math.gamma(-1.5)
             / (math.gamma(-0.5) * math.factorial(k)) * x * y * y * t ** (0.5 * k)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import expit, log_expit
 
+from shehu import funclib
 from shehu.errors import DomainError, MissingDerivative, QuadratureError
 from shehu.fracops import (
     _H0,
@@ -29,7 +30,7 @@ from shehu.funclib import (
     ml_kernel_field,
     power_field,
 )
-from shehu.specfun import MLParams, mittag_leffler
+from shehu.specfun import MLParams, mittag_leffler, mittag_leffler_array
 
 
 def poly_t(coeffs):
@@ -100,6 +101,25 @@ class TestSmoothFn:
         kernel = ml_kernel_field(0.5, 1.0, -1.0, axis="y").smooth
         with pytest.raises(MissingDerivative):
             kernel.partial("y")
+
+    @pytest.mark.parametrize("g, b, c", [(0.5, 1.0, -1.0), (0.8, 1.2, -0.5), (1.0, 0.5, -1.0)])
+    def test_ml_kernel_is_one_array_call(self, g, b, c, monkeypatch):
+        """The kernel takes a node array in one array call and equals
+        u^(b-1) E(c u^g) from scalar calls; u = 0 gives the limit."""
+        shapes = []
+
+        def spy(p, z):
+            shapes.append(np.shape(z))
+            return mittag_leffler_array(p, z)
+
+        monkeypatch.setattr(funclib, "mittag_leffler_array", spy)
+        u = np.array([0.0, 0.01, 0.7, 3.0, 12.0, 60.0, 400.0])
+        got = ml_kernel_field(g, b, c, axis="y").smooth.array(0.0, u, 0.0)
+        assert shapes == [u.shape]
+        z = c * np.power(u[1:], g)
+        ref = np.power(u[1:], b - 1.0) * [mittag_leffler(MLParams(g, b), v) for v in z.tolist()]
+        assert_allclose(got[1:], ref, rtol=1e-12, atol=0.0)
+        assert got[0] == (1.0 if b == 1.0 else (0.0 if b > 1.0 else math.inf))
 
     def test_algebra_product_rule(self):
         f = axis_power("t", 2.0) * axis_exp("t", -1.0)

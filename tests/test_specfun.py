@@ -10,12 +10,13 @@ from numpy.testing import assert_allclose
 from scipy.special import erfcx
 
 from shehu import specfun
-from shehu.errors import ConvergenceError, DivergenceError, PoleError, ShehuError
+from shehu.errors import ConvergenceError, DivergenceError, DomainError, PoleError, ShehuError
 from shehu.specfun import (
     MLParams,
     WrightSeriesSpec,
     gamma_fn,
     mittag_leffler,
+    mittag_leffler_array,
     wright_series,
 )
 
@@ -188,6 +189,11 @@ class TestMittagLeffler:
         for x in (-85.0, -100.0, -30.0):
             assert mittag_leffler(MLParams(1.0, 1.0), x) == math.exp(x)
 
+    @pytest.mark.parametrize("z", [math.nan, complex(1.0, math.nan), complex(math.nan, 0.0)])
+    def test_nan_is_refused_before_evaluation(self, z):
+        with pytest.raises(DomainError, match="NaN"):
+            mittag_leffler(MLParams(0.5, 1.0), z)
+
     def test_positive_axis_overflow_is_inf(self):
         assert mittag_leffler(MLParams(0.5, 1.0), 30.0) == math.inf
 
@@ -240,6 +246,121 @@ class TestMittagLeffler:
         for theta in thetas:
             z = cmath.rect(r, theta)
             assert_ml_close(mittag_leffler(MLParams(g, b), z), ml_reference(g, b, z))
+
+
+def ml_series_to_completion(g: float, b: float, z: complex):
+    """The double-precision series without early rejection: (value, estimate)."""
+    log_abs_z, phase = math.log(abs(z)), cmath.phase(z)
+    total, max_mag, arg_at_max = 0.0 + 0.0j, 0.0, b
+    for r in range(600):
+        arg = g * r + b
+        log_mag = r * log_abs_z - math.lgamma(arg)
+        if log_mag > 700.0:
+            return total, math.inf
+        term_mag = math.exp(log_mag)
+        total += term_mag * cmath.exp(1j * r * phase)
+        if term_mag > max_mag:
+            max_mag, arg_at_max = term_mag, arg
+        if r > 4 and term_mag < max_mag and term_mag <= 1e-18 * max(abs(total), 1e-300):
+            break
+    else:
+        return total, math.inf
+    ulp_factor = 1.0 + arg_at_max * math.log(max(arg_at_max, 2.0))
+    return total, (max_mag * 1e-16 * ulp_factor + term_mag) / max(abs(total), 1e-300)
+
+
+def assert_matches_scalar(got, ref):
+    """1e-12 relative, or 1e-14 absolute where |E| < 1e-3; overflow is inf on both."""
+    if ref == math.inf:
+        assert got == math.inf
+    else:
+        assert abs(got - ref) <= 1e-12 * abs(ref) or (
+            abs(ref) < 1e-3 and abs(got - ref) <= 1e-14), (got, ref)
+
+
+ARRAY_ELEMENTS = st.one_of(
+    st.floats(min_value=-100.0, max_value=0.0),
+    st.builds(cmath.rect, st.floats(min_value=0.0, max_value=10.0),
+              st.floats(min_value=-math.pi, max_value=math.pi)),
+    st.floats(min_value=0.0, max_value=30.0),
+    st.just(0.0),
+)
+
+
+class TestMittagLefflerArray:
+    @given(
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=0.2, max_value=2.0),
+        st.lists(ARRAY_ELEMENTS, min_size=1, max_size=10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_calls(self, g, b, zs):
+        """Zeros, the series, the contour and positive overflow, mixed in one
+        array, real and complex: each element as its scalar call."""
+        p = MLParams(g, b)
+        reals = [z for z in zs if not isinstance(z, complex)] or [0.0]
+        for arr in (np.array(reals), np.array(zs, dtype=complex)):
+            got = mittag_leffler_array(p, arr)
+            assert got.shape == arr.shape and got.dtype == arr.dtype
+            for a, z in zip(got.tolist(), arr.tolist()):
+                assert_matches_scalar(a, mittag_leffler(p, z))
+
+    @pytest.mark.parametrize("g, b", [(0.5, 1.0), (0.8, 1.2), (1.0, 1.0), (1.5, 0.7),
+                                      (2.0, 1.0), (0.6, 2.0)])
+    def test_batch_invariance(self, g, b):
+        """Each element's bits are the same alone, shuffled and in a 2-D shape."""
+        rng = np.random.default_rng(11)
+        z = np.concatenate([-rng.uniform(0.0, 30.0, 14), rng.uniform(0.0, 9.0, 6),
+                            [0.0, -4.0, 5.0]])
+        zc = np.concatenate([z, 8.0 * np.exp(1j * rng.uniform(-math.pi, math.pi, 9))])
+        p = MLParams(g, b)
+        for arr in (z, zc):
+            got = mittag_leffler_array(p, arr)
+            perm = rng.permutation(arr.size)
+            assert mittag_leffler_array(p, arr[perm]).tobytes() == got[perm].tobytes()
+            alone = [mittag_leffler_array(p, arr[i:i + 1]).tobytes() for i in range(arr.size)]
+            assert alone == [got[i:i + 1].tobytes() for i in range(arr.size)]
+            if arr.size % 2 == 0:
+                grid = mittag_leffler_array(p, arr.reshape(2, -1))
+                assert grid.shape == (2, arr.size // 2)
+                assert grid.tobytes() == got.tobytes()
+            assert mittag_leffler_array(p, arr[:1].reshape(())).shape == ()
+
+    def test_refusal_inside_an_array(self):
+        arr = np.array([1.0, complex(3.6, 10.3), -2.0])
+        with pytest.raises(ConvergenceError, match="within 200 nodes"):
+            mittag_leffler_array(MLParams(2.8, 1.8), arr)
+
+    def test_nan_names_its_index(self):
+        arr = np.array([[0.1, 0.2], [math.nan, 1.0]])
+        with pytest.raises(DomainError, match=r"index \(1, 0\)"):
+            mittag_leffler_array(MLParams(0.5, 1.0), arr)
+
+    def test_empty(self):
+        assert mittag_leffler_array(MLParams(0.5, 1.0), np.zeros((0, 3))).shape == (0, 3)
+
+
+class TestSeriesEarlyRejection:
+    def test_doomed_series_stops_early(self):
+        """E_{1/2,1}(-3): the finished series would be rejected too."""
+        val, err = specfun._ml_series_float(0.5, 1.0, -3.0 + 0j)
+        full, full_err = ml_series_to_completion(0.5, 1.0, -3.0 + 0j)
+        assert err == math.inf and 1e-12 < full_err < math.inf
+        assert val != full
+
+    @pytest.mark.parametrize("g, b", [(0.5, 1.0), (0.5, 0.3), (0.8, 1.2), (1.0, 1.0),
+                                      (1.5, 0.7), (2.0, 1.8)])
+    def test_same_decisions_and_bits_as_the_finished_series(self, g, b):
+        zs = [complex(x) for x in np.linspace(-5.0, 5.0, 81)]
+        zs += [cmath.rect(r, t) for r in (2.0, 4.0, 5.0) for t in np.linspace(-3.1, 3.1, 13)]
+        for z in zs:
+            if z == 0:
+                continue
+            val, err = specfun._ml_series_float(g, b, z)
+            ref, ref_err = ml_series_to_completion(g, b, z)
+            assert (err <= 1e-12) == (ref_err <= 1e-12), z
+            if ref_err <= 1e-12:
+                assert (val, err) == (ref, ref_err), z
 
 
 class TestWrightSeries:
