@@ -326,13 +326,15 @@ def _panel_transform(integrand, rate: float, rho: float, pad: float, epsrel: flo
     """int_0^U exp(-rho u) integrand(u) du, U = pad / (rho - max(rate, 0)).
 
     QUADPACK's QAG scheme on arrays: each panel's 15-point Gauss-Legendre
-    value is checked against its 7-point value; each sweep bisects every
+    value is checked against its 7-point value; each sweep splits every
     panel whose error exceeds an equal share of the budget and passes all
     new nodes to ``integrand`` in one array call, until the errors sum to
-    at most max(1e-15, epsrel |I|).  A singular u^a at u = 0 costs one
-    split per factor 2^-(1+a) of error, so the 300-panel cap refuses a
-    below about -0.81 at epsrel 1e-13 and -0.87 at 1e-10 (no catalog field
-    or suite row has such a factor).
+    at most max(1e-15, epsrel |I|).  A panel is bisected, but [0, hi] is
+    cut at hi 2^-8, ..., hi/2, so a singular u^a there loses a factor
+    2^(-8(1+a)) of error per sweep (u^0.3 at rho = 1.3: 5 sweeps, not 32).
+    That is still one panel per factor 2^-(1+a), so the 300-panel cap
+    refuses a below about -0.81 at epsrel 1e-13 and -0.88 at 1e-10 (no
+    catalog field or suite row has such a factor).
 
     Raises:
         QuadratureError: when rho <= max(rate, 0), the sum is not finite,
@@ -360,15 +362,17 @@ def _panel_transform(integrand, rate: float, rho: float, pad: float, epsrel: flo
         if errsum <= budget:
             return total
         split = err > budget / err.size
-        keep = ~split
-        mid = 0.5 * (lo[split] + hi[split])
-        if err.size + mid.size > 300:
-            raise QuadratureError(f"transform needs more than 300 panels on [0, {upper}]")
-        if not np.all(lo[split] < mid):
-            raise QuadratureError(f"transform panel too narrow to split on [0, {upper}]")
-        lo = np.concatenate([lo[keep], lo[split], mid])
-        hi = np.concatenate([hi[keep], mid, hi[split]])
+        keep, corner = ~split, split & (lo == 0.0)
+        halve = split & ~corner
+        mid = 0.5 * (lo[halve] + hi[halve])
+        graded = np.append(0.0, hi[corner, None] * 2.0 ** np.arange(-8, 1))
+        lo = np.concatenate([lo[keep], lo[halve], mid, graded[:-1]])
+        hi = np.concatenate([hi[keep], mid, hi[halve], graded[1:]])
         val, err = val[keep], err[keep]
+        if lo.size > 300:
+            raise QuadratureError(f"transform needs more than 300 panels on [0, {upper}]")
+        if not np.all(lo[val.size:] < hi[val.size:]):
+            raise QuadratureError(f"transform panel too narrow to split on [0, {upper}]")
 
 
 def _axis_transform(
@@ -400,12 +404,15 @@ def _sep_transform(
     fld: FieldFn,
     vars: RatioPoint,
     ops: Mapping[str, tuple[str, float]] | None = None,
+    factors: dict | None = None,
 ) -> float:
     """Triple transform of ``fld``, or of its fractional image, term by term.
 
     ``ops`` maps an axis to ("integral", g) or ("caputo", g).  A Caputo op
     takes the ceil(g)-th partial through the atoms' derivatives and leaves
-    the remaining integral of order ceil(g) - g to quadrature.
+    the remaining integral of order ceil(g) - g to quadrature.  ``factors``
+    keeps each axis factor, keyed by axis, atoms and fractional order, for
+    calls that share ``fld`` and ``vars``.
     """
     smooth, frac = fld.smooth, {}
     for ax, (kind, g) in (ops or {}).items():
@@ -416,12 +423,14 @@ def _sep_transform(
                 continue
             g = order.ceil - order.value
         frac[ax] = g
+    factors = {} if factors is None else factors
     total = 0.0
     for c, atoms in smooth.terms:
         for ax, rate in zip(AXES, fld.rates):
-            c *= _axis_transform(
-                _on_axis(atoms, ax), ax, rate, float(vars.ratio(ax)), frac.get(ax)
-            )
+            key = ax, _on_axis(atoms, ax), frac.get(ax)
+            if key not in factors:
+                factors[key] = _axis_transform(key[1], ax, rate, float(vars.ratio(ax)), key[2])
+            c *= factors[key]
         total += c
     return total
 
@@ -591,8 +600,9 @@ def _suite_rules(kind: str, rows, report: VerificationReport, rng) -> None:
         if frozen is None:
             axes = AXES
             vars = _seeded_ratio_point(rng, fld.rates)
-            lhs = _sep_transform(fld, vars, {ax: (kind, g) for ax, g in orders.items()})
-            Fhat = _sep_transform(fld, vars)
+            ops, factors = {ax: (kind, g) for ax, g in orders.items()}, {}
+            lhs = _sep_transform(fld, vars, ops, factors)
+            Fhat = _sep_transform(fld, vars, None, factors)
         else:
             axes = tuple(ax for ax in AXES if ax not in frozen)
             ((axis, g),) = orders.items()

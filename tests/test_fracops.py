@@ -14,6 +14,7 @@ from shehu.fracops import (
     _T_RIGHT,
     AXES,
     FracOrder,
+    SmoothFn,
     _ts_rule,
     caputo_derivative,
     power_rule_integral,
@@ -280,6 +281,99 @@ def test_rl_derivative_arrays_match_scalar_calls():
 def test_any_bad_array_coordinate_is_refused(op, bad):
     with pytest.raises(DomainError):
         op(axis_power("x", 2.0), "x", 0.5, (np.array([[0.5, 0.0], [bad, 1.0]]), 0.3, 0.2))
+
+
+def _full_grid(f):
+    """``f`` as a bare callable, which ``rl_integral`` integrates at every grid point."""
+    return lambda x, y, t: f.array(x, y, t)
+
+
+def _grid_point(axis: str, n: int = 4, m: int = 5):
+    """A (1, m) coordinate on ``axis``, zero included, an (n, 1) one on the next axis."""
+    point = [0.8, 0.8, 0.8]
+    i = AXES.index(axis)
+    point[i] = np.linspace(0.0, 2.9, m)[None, :]
+    point[(i + 1) % 3] = np.linspace(0.0, 2.2, n)[:, None]
+    return tuple(point)
+
+
+def _assert_engines_agree(got, expect):
+    """Within 1e-14 relative, the scale being the grid's largest value: where the
+    integrand changes sign the value cancels and carries rounding of that scale."""
+    assert got.shape == expect.shape
+    assert_allclose(got, expect, rtol=1e-14, atol=1e-14 * np.abs(expect).max())
+
+
+_MIXED = (get_field("sine-product").smooth + get_field("xyt").smooth * 0.5
+          + get_field("exp-xyt").smooth * -2.0)
+
+
+@pytest.mark.parametrize("fname", sorted(catalog()) + ["mixed"])
+def test_term_by_term_integral_matches_full_grid_engine(fname):
+    """A SmoothFn, integrated term by term on the unbroadcast axis, gives the
+    values of the full-grid rule that a bare callable of the same field takes."""
+    f = _MIXED if fname == "mixed" else get_field(fname).smooth
+    for axis in AXES:
+        point = _grid_point(axis)
+        for g in (0.3, 0.5, 1.5):
+            _assert_engines_agree(rl_integral(f, axis, g, point),
+                                  rl_integral(_full_grid(f), axis, g, point))
+
+
+@pytest.mark.parametrize("fname", ["sine-product", "xyt", "exp-xyt", "sinpix-expt",
+                                   "t-squared", "mixed"])
+def test_term_by_term_caputo_matches_full_grid_engine(fname):
+    """The Caputo value is the full-grid rule's integral of the n-th partial,
+    multi-term partials included."""
+    f = _MIXED if fname == "mixed" else get_field(fname).smooth
+    for axis in AXES:
+        point = _grid_point(axis)
+        for g in (0.3, 0.5, 1.5):
+            n = FracOrder(g).ceil
+            expect = rl_integral(_full_grid(f.partial_n(axis, n)), axis, n - g, point)
+            _assert_engines_agree(caputo_derivative(f, axis, g, point), expect)
+
+
+class _Counted:
+    """An atom that records how many values it evaluates."""
+
+    def __init__(self, atom, seen: list) -> None:
+        self.atom, self.i, self.seen = atom, atom.i, seen
+
+    def array(self, u):
+        self.seen.append(np.size(u))
+        return self.atom.array(u)
+
+
+@pytest.mark.parametrize("fname, axis", [("exp-xyt", "y"), ("sine-product", "x")])
+def test_rule_runs_on_the_unbroadcast_axis(fname, axis):
+    """On a 64 x 64 grid the atoms evaluate at most 1/32 of the values that the
+    full-grid rule makes them evaluate."""
+    seen = []
+    f = SmoothFn((c, tuple(_Counted(a, seen) for a in atoms))
+                 for c, atoms in get_field(fname).smooth.terms)
+    point = _grid_point(axis, 64, 64)
+    got = rl_integral(f, axis, 0.5, point)
+    term_by_term, seen[:] = sum(seen), []
+    expect = rl_integral(_full_grid(f), axis, 0.5, point)
+    assert 32 * term_by_term <= sum(seen)
+    _assert_engines_agree(got, expect)
+
+
+@pytest.mark.parametrize("op, g", [(rl_integral, 0.5), (caputo_derivative, 0.5),
+                                   (caputo_derivative, 1.5)])
+@pytest.mark.parametrize("x", [0.0, math.nan], ids=["power-at-zero", "nan"])
+def test_non_finite_off_axis_factor_is_refused(op, g, x):
+    """A factor off the operated axis that is not finite (x^-0.5 at x = 0, or any
+    atom at a NaN coordinate) is refused as the full-grid rule refuses it; where
+    the operated coordinate is 0 the value is 0, as there."""
+    f = axis_power("x", -0.5) * axis_sin("y", 2.0) + axis_exp("y", -1.0)
+    point = (np.array([[1.0], [x]]), np.array([[0.5, 2.0]]), 0.3)
+    with pytest.raises(QuadratureError, match="not finite"):
+        op(f, "y", g, point)
+    with np.errstate(invalid="ignore"), pytest.raises(QuadratureError, match="not finite"):
+        rl_integral(_full_grid(f), "y", g, point)  # inf times its zero weights warns
+    assert op(f, "y", g, (x, 0.0, 0.3)) == 0.0
 
 
 @pytest.mark.parametrize("level", range(8))

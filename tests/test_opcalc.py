@@ -283,6 +283,19 @@ class TestPanelTransform:
         got = _panel_transform(lambda u: u ** a, 0.0, rho, 40.0, 1e-13)
         assert_allclose(got, math.gamma(1.0 + a) / rho ** (1.0 + a), rtol=1e-12)
 
+    def test_corner_panel_is_split_geometrically(self):
+        """u^0.3 takes at most 6 sweeps, one integrand call each: the panel at
+        u = 0 is cut at hi 2^-8, ..., hi/2 at once, not bisected sweep by sweep."""
+        rho, calls = 1.3, []
+
+        def integrand(u):
+            calls.append(u.shape)
+            return u ** 0.3
+
+        got = _panel_transform(integrand, 0.0, rho, 40.0, 1e-13)
+        assert len(calls) <= 6
+        assert_allclose(got, math.gamma(1.3) / rho ** 1.3, rtol=1e-13)
+
     def test_long_oscillatory_range(self):
         """sin(pi u) at rho = 0.55, where the cut U = 40 / rho is about 73."""
         rho = 0.55
@@ -323,6 +336,30 @@ class TestPanelTransform:
         gap = rho - max(rate, 0.0)
         ref = quad(integrand, 0.0, 40.0 / gap, epsabs=1e-14, epsrel=1e-11, limit=300)[0]
         assert_allclose(_axis_transform(atoms, axis, rate, rho, order), ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("fname, ops", [
+    ("exp-xyt", {"y": ("integral", 0.3)}),
+    ("sinpix-expt", {"x": ("caputo", 1.5)}),
+    ("sine-product", {"x": ("integral", 0.3), "y": ("integral", 0.5)}),
+])
+def test_axis_factors_are_computed_once_per_row(fname, ops, monkeypatch):
+    """A rule row's image and field transforms share each axis factor, and
+    the values are those of two separate calls, bit for bit."""
+    fld, vars = get_field(fname), RatioPoint.from_ratios(1.9, 2.3, 2.7)
+    alone = (_sep_transform(fld, vars, ops), _sep_transform(fld, vars))
+    calls = []
+    axis_transform = opcalc._axis_transform
+
+    def counted(atoms, axis, *args):
+        calls.append((axis, atoms) + args)
+        return axis_transform(atoms, axis, *args)
+
+    monkeypatch.setattr(opcalc, "_axis_transform", counted)
+    factors = {}
+    shared = (_sep_transform(fld, vars, ops, factors), _sep_transform(fld, vars, None, factors))
+    assert [v.hex() for v in shared] == [v.hex() for v in alone]
+    assert len(calls) == len(set(calls)) == 3 + len(ops)
 
 
 def test_verification_runs_without_quadpack(monkeypatch):
