@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fracops import FracOrder
 from .inverse import DEFAULT_INVERSION, InversionConfig, invert_3d
-from .specfun import gamma_sign, is_gamma_pole, log_abs_gamma
+from .specfun import _gamma_ratio_term
 
 __all__ = [
     "HeatSpec",
@@ -458,7 +458,7 @@ def _eval_guarded(
     guarded = 0
     used = 0
     for group_id, n_sums, spec_fn, fixed_gammas in groups:
-        if override is None and any(is_gamma_pole(a) for a in fixed_gammas):
+        if override is None and _gamma_ratio_term((), fixed_gammas) is None:
             guarded += truncation ** n_sums
             continue
         for idx in product(range(truncation), repeat=n_sums):
@@ -470,23 +470,19 @@ def _eval_guarded(
                     total += c * math.exp(px * lx + py * ly + pt * lt)
                     used += 1
                     continue
-            if any(is_gamma_pole(a) for a in spec.num_gammas + spec.den_gammas):
+            term = _gamma_ratio_term(
+                spec.num_gammas, spec.den_gammas,
+                spec.log_prefactor - math.lgamma(spec.factorial_index + 1.0))
+            if term is None:
                 guarded += 1
                 continue
-            log_mag = spec.log_prefactor - math.lgamma(spec.factorial_index + 1.0)
-            sign = spec.sign
-            for a in spec.num_gammas:
-                log_mag += log_abs_gamma(a)
-                sign *= gamma_sign(a)
-            for a in spec.den_gammas:
-                log_mag -= log_abs_gamma(a)
-                sign *= gamma_sign(a)
+            sign, log_mag = term
             px, py, pt = spec.powers
             log_mag += px * lx + py * ly + pt * lt
             if log_mag > 700.0:
                 guarded += 1  # overflow guard: treated like a defective term
                 continue
-            total += sign * math.exp(log_mag)
+            total += spec.sign * sign * math.exp(log_mag)
             used += 1
     return GuardedSeriesResult(value=total, guarded_count=guarded, terms_used=used)
 

@@ -14,12 +14,12 @@ which is the series reduction of the Mellin-Barnes family used by the
 transform-domain series evaluators.  Series terms whose gamma factors sit
 on a pole are skipped and counted instead of aborting the evaluation.
 
-The Mittag-Leffler function has two paths: its series in double precision
-where that certifies itself, and otherwise contour inversion of its own
+The Mittag-Leffler function has one engine, ``mittag_leffler_array``, with
+two paths: its series in double precision, summed over the array where
+that certifies itself, and otherwise contour inversion of its own
 transform pair s^(g-b)/(s^g - z) with every pole taken as an exact
-residue.  ``mittag_leffler`` takes a scalar; ``mittag_leffler_array``
-takes an array and gives each element its scalar call's value to 1e-12.
-Extended precision (mpmath) serves only the power series.
+residue.  ``mittag_leffler`` is its 0-d case.  Extended precision
+(mpmath) serves only the power series.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "WrightSeriesSpec",
     "WrightSeriesResult",
     "gamma_fn",
-    "log_abs_gamma",
     "gamma_sign",
     "is_gamma_pole",
     "mittag_leffler",
@@ -108,13 +107,6 @@ def gamma_fn(z: complex | float) -> complex | float:
     return _lanczos_gamma(zc)
 
 
-def log_abs_gamma(x: float) -> float:
-    """log |Gamma(x)| for real non-pole ``x``."""
-    if is_gamma_pole(x):
-        raise PoleError(f"gamma pole at x={x!r}")
-    return math.lgamma(x)
-
-
 def gamma_sign(x: float) -> float:
     """Sign of Gamma(x) for real non-pole ``x`` (alternates below zero)."""
     if x > 0.0:
@@ -122,6 +114,22 @@ def gamma_sign(x: float) -> float:
     if is_gamma_pole(x):
         raise PoleError(f"gamma pole at x={x!r}")
     return 1.0 if math.floor(x) % 2 == 0 else -1.0
+
+
+def _gamma_ratio_term(num, den, log_start: float = 0.0):
+    """(sign, log |term|) of exp(log_start) prod Gamma(num) / prod Gamma(den),
+    accumulated left to right from ``log_start``; None when an argument sits
+    on a pole."""
+    if any(is_gamma_pole(a) for a in (*num, *den)):
+        return None
+    sign, log_mag = 1.0, log_start
+    for a in num:
+        log_mag += math.lgamma(a)
+        sign *= gamma_sign(a)
+    for a in den:
+        log_mag -= math.lgamma(a)
+        sign *= gamma_sign(a)
+    return sign, log_mag
 
 
 @dataclass(frozen=True)
@@ -139,58 +147,16 @@ class MLParams:
             )
 
 
-# The array path takes _ML_ROWS elements at a time, each series on the
-# first width of _ML_WIDTHS that brings its stop or rejection.
-_ML_TERMS = 600
-_ML_WIDTHS = (40, 120, _ML_TERMS)
+# The series takes _ML_ROWS elements at a time, each on the first width of
+# _ML_WIDTHS that brings its stop or rejection.
+_ML_WIDTHS = (40, 120, 600)
 _ML_ROWS = 256
-
-
-def _ml_series_float(g: float, b: float, z: complex, max_terms: int = _ML_TERMS):
-    """Direct series in double precision; returns (value, relative error estimate).
-
-    ``inf`` estimates: a term overflows, the terms run out, or ``_ml_doomed``.
-    """
-    log_abs_z = math.log(abs(z))
-    phase = cmath.phase(z)
-    total = 0.0 + 0.0j
-    max_mag = rounding = prev = 0.0
-    for r in range(max_terms):
-        arg = g * r + b
-        log_mag = r * log_abs_z - math.lgamma(arg)
-        if log_mag > 700.0:  # exp would overflow; series hopeless in floats
-            return total, math.inf
-        term_mag = math.exp(log_mag)
-        total += term_mag * cmath.exp(1j * r * phase)
-        if term_mag > max_mag:
-            # Term error includes double rounding of the gamma argument,
-            # amplified by d(lgamma)/dx ~ log(x) at the dominant term.
-            max_mag = term_mag
-            rounding = max_mag * 1e-16 * (1.0 + arg * math.log(max(arg, 2.0)))
-        elif r > 4 and term_mag < max_mag:
-            scale = max(abs(total), 1e-300)
-            if term_mag <= 1e-18 * scale:
-                break
-            if (rounding > 2e-12 * scale and term_mag < prev  # cheap tests first
-                    and _ml_doomed(rounding, scale, term_mag, prev - term_mag)):
-                return total, math.inf
-        prev = term_mag
-    else:
-        return total, math.inf
-    return total, (rounding + term_mag) / scale
-
-
-def _ml_doomed(rounding, scale, term_mag, drop):
-    """Whether the peak's rounding exceeds 1e-12 of a bound on the final |sum|:
-    past the peak the log-concave terms fall at least by the ratio of the last
-    two, so the rest sums to at most term_mag^2 / drop; 2 covers rounding."""
-    return rounding > 2e-12 * (scale + term_mag * term_mag / drop)
 
 
 @lru_cache(maxsize=32)
 def _ml_term_table(g: float, b: float) -> np.ndarray:
-    """Rows lgamma(a) and 1 + a log max(a, 2) at a = g r + b, as the scalar loop forms them."""
-    args = [g * r + b for r in range(_ML_TERMS)]
+    """Rows lgamma(a) and the rounding factor 1 + a log max(a, 2) at a = g r + b."""
+    args = [g * r + b for r in range(_ML_WIDTHS[-1])]
     table = np.array([[math.lgamma(a) for a in args],
                       [1.0 + a * math.log(max(a, 2.0)) for a in args]])
     table.flags.writeable = False
@@ -198,11 +164,14 @@ def _ml_term_table(g: float, b: float) -> np.ndarray:
 
 
 def _ml_series_rows(g: float, b: float, z: np.ndarray):
-    """``_ml_series_float`` at each element of the nonzero 1-D array ``z``: (values, accepted).
+    """The double-precision series at each element of the nonzero 1-D array
+    ``z``: (values, accepted where the relative error estimate is <= 1e-12).
 
-    Its terms are the scalar loop's bit for bit: log|z| and arg z come from
-    ``math``, and numpy's complex exp calls libm's exp (its float exp does
-    not).  Real input sums real signs.
+    The estimate is the peak term's rounding, that of its gamma argument
+    amplified by d(lgamma)/dx ~ log(x), plus the last term.  log|z| and
+    arg z come from ``math``, and term magnitudes from libm's exp through
+    numpy's complex exp (its float exp has CPU-dependent SIMD loops).  Real
+    input sums real signs.
     """
     lgam, ulp = _ml_term_table(g, b)
     value, accepted = np.zeros_like(z), np.zeros(z.size, dtype=bool)
@@ -212,6 +181,8 @@ def _ml_series_rows(g: float, b: float, z: np.ndarray):
     rows = np.arange(z.size)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for width in _ML_WIDTHS:
+            if not rows.size:
+                break
             r = np.arange(width)
             log_mag = log_abs[rows, None] * r - lgam[:width]
             mag = np.exp(log_mag + 0j).real
@@ -225,7 +196,10 @@ def _ml_series_rows(g: float, b: float, z: np.ndarray):
             past = (mag < peaks) & (r > 4)
             stop = past & (mag <= 1e-18 * scale)
             over = log_mag > 700.0
-            doomed = past & (drop > 0.0) & _ml_doomed(rnd, scale, mag, drop)
+            # Past the peak the log-concave terms fall at least by the ratio of
+            # the last two, so the rest sums to at most mag^2 / drop; 2 covers
+            # the rounding of that bound.
+            doomed = past & (drop > 0.0) & (rnd > 2e-12 * (scale + mag * mag / drop))
             event = stop | over | doomed
             done = event.any(axis=1)
             i = np.flatnonzero(done)
@@ -234,8 +208,6 @@ def _ml_series_rows(g: float, b: float, z: np.ndarray):
             accepted[rows[i]] = (stop[i, j] & ~over[i, j]
                                  & ((rnd[i, j] + mag[i, j]) / scale[i, j] <= 1e-12))
             rows = rows[~done]
-            if not rows.size:
-                break
     return value, accepted
 
 
@@ -257,6 +229,13 @@ def _ml_poles(g: float, z: complex) -> list[complex]:
     poles = [complex(-r, 0.0) if abs(a) >= math.pi * (1.0 - 1e-13) else cmath.rect(r, a)
              for a in angles if abs(a) <= math.pi * (1.0 + 1e-13)]
     return list(dict.fromkeys(poles))
+
+
+@lru_cache(maxsize=32)
+def _ml_axis_poles_known(g: float) -> bool:
+    """Whether each z < 0 has the poles [z] (g = 1) or none: their angles
+    (2k + 1) pi / g do not depend on |z|, so one probe at z = -1 decides."""
+    return g == 1.0 or not _ml_poles(g, complex(-1.0))
 
 
 def _ml_bounded_parabola(lo: float, hi: float, p: float):
@@ -335,10 +314,10 @@ def _ml_contour(g: float, b: float, z: np.ndarray) -> np.ndarray:
     error floor on small results.
 
     Raises:
-        ConvergenceError: as ``mittag_leffler``, for the first element.
+        ConvergenceError: as ``mittag_leffler_array``, for the first element.
     """
     out, zl = np.full(z.shape, complex(math.nan)), z.tolist()
-    axis_poles = g == 1.0 or not _ml_poles(g, complex(-1.0))  # then [z] or none on z < 0
+    axis_poles = _ml_axis_poles_known(g)
     batches = {}
     for i, zi in enumerate(zl):
         if axis_poles and zi.imag == 0.0 and zi.real < 0.0:
@@ -381,53 +360,41 @@ def _ml_contour(g: float, b: float, z: np.ndarray) -> np.ndarray:
 
 
 def mittag_leffler(p: MLParams, z: complex | float) -> complex | float:
-    """Two-parameter Mittag-Leffler function E_{gamma,beta}(z) at a scalar ``z``.
-
-    The double-precision series runs on |z| <= 5 and on the positive real
-    axis, wherever its own error estimate meets 1e-12 relative (the estimate
-    underestimates cancellation up to sixfold near z = -4).  Everywhere
-    else the transform pair s^(gamma-beta)/(s^gamma - z) is inverted on a
-    pole-aware parabolic contour (Garrappa, SIAM J. Numer. Anal. 53(3),
-    2015; Weideman & Trefethen, Math. Comp. 76, 2007).  Accuracy: 1e-11
-    relative, or 1e-14 absolute where |E| < 1e-3, for 1/2 <= gamma <= 2,
-    0.2 <= beta <= 2 and |z| <= 100.  On the positive real axis a value
-    beyond the double range is ``inf``.  Arrays: ``mittag_leffler_array``.
+    """E_{gamma,beta}(z) at a scalar ``z``: ``mittag_leffler_array`` at the 0-d
+    array of ``z``, a float for real ``z`` and for complex ``z`` with a zero
+    imaginary part, else a complex.
 
     Raises:
         DomainError: when ``z`` has a NaN part.
-        ConvergenceError: when no contour reaches its target within 200
-            nodes (seen only for gamma > 2), or when the value overflows
-            off the positive real axis.
+        ConvergenceError: as ``mittag_leffler_array``.
     """
-    g, b = p.gamma, p.beta
     want_complex = isinstance(z, complex) and z.imag != 0.0
-    zc = complex(z)
-    if cmath.isnan(zc):
-        raise DomainError(f"Mittag-Leffler argument is NaN: z={z!r}")
-    if zc == 0:
-        return 1.0 / math.gamma(b)
-
-    positive = not want_complex and zc.real > 0.0
-    if abs(zc) <= 5.0 or positive:
-        val, err = _ml_series_float(g, b, zc)
-        if err <= 1e-12:
-            return val if want_complex else val.real
-    val = complex(_ml_contour(g, b, np.array([zc]))[0])
-    return val if want_complex else val.real
+    val = mittag_leffler_array(p, np.array(z))[()]
+    return complex(val) if want_complex else float(val.real)
 
 
 def mittag_leffler_array(p: MLParams, z: np.ndarray) -> np.ndarray:
-    """``mittag_leffler`` at each element of the array ``z``, any shape.
+    """Two-parameter Mittag-Leffler function E_{gamma,beta} at each element of
+    the array ``z``, any shape.
 
-    Each element takes its scalar call's regime, the series summed over the
-    array and the contour in one broadcast per parabola.  Values agree with
-    scalar calls to 1e-12 relative (1e-14 absolute where |E| < 1e-3) and do
-    not depend on the rest of the array.  Complex input gives complex
-    values, real where z is.
+    At z = 0 the value is 1/Gamma(beta).  The double-precision series runs
+    on |z| <= 5 and on the positive real axis, wherever its own error
+    estimate meets 1e-12 relative (the estimate underestimates cancellation
+    up to sixfold near z = -4).  Everywhere else the transform pair
+    s^(gamma-beta)/(s^gamma - z) is inverted on a pole-aware parabolic
+    contour (Garrappa, SIAM J. Numer. Anal. 53(3), 2015; Weideman &
+    Trefethen, Math. Comp. 76, 2007), in one broadcast per parabola.
+    Accuracy: 1e-11 relative, or 1e-14 absolute where |E| < 1e-3, for
+    1/2 <= gamma <= 2, 0.2 <= beta <= 2 and |z| <= 100.  On the positive
+    real axis a value beyond the double range is ``inf``.  Each element's
+    bits do not depend on the rest of the array.  Complex input gives
+    complex values, real where z is.
 
     Raises:
         DomainError: when an element has a NaN part, naming the first index.
-        ConvergenceError: as the first element's scalar call that raises.
+        ConvergenceError: when no contour reaches its target within 200
+            nodes (seen only for gamma > 2), or when a value overflows off
+            the positive real axis; the message names the element.
     """
     g, b = p.gamma, p.beta
     z = np.asarray(z)
@@ -443,9 +410,11 @@ def mittag_leffler_array(p: MLParams, z: np.ndarray) -> np.ndarray:
                                  for v in zs.tolist()])
         val, ok = _ml_series_rows(g, b, zs[series])
         vals[series[ok]] = val[ok]
-        rest = np.setdiff1d(np.flatnonzero(zs), series[ok])
-        val = _ml_contour(g, b, zs[rest].astype(complex))
-        vals[rest] = val if want_complex else val.real
+        rest = zs != 0
+        rest[series[ok]] = False
+        if rest.any():
+            val = _ml_contour(g, b, zs[rest].astype(complex))
+            vals[rest] = val if want_complex else val.real
     if want_complex:
         out.imag[flat.imag == 0.0] = 0.0
     return out.reshape(z.shape)
@@ -526,23 +495,15 @@ def wright_series(
     max_mag = 0.0
 
     for s in range(max_terms):
-        num_args = [a + sa * s for a, sa in spec.upper]
-        den_args = [s + 1.0] + [b + sb * s for b, sb in spec.lower]
-        if any(is_gamma_pole(a) for a in num_args + den_args):
+        term = _gamma_ratio_term([a + sa * s for a, sa in spec.upper],
+                                 [s + 1.0] + [b + sb * s for b, sb in spec.lower],
+                                 s * log_abs_sigma if s > 0 else 0.0)
+        if term is None:
             guarded += 1
             continue
         if sc == 0 and s > 0:
             break
-        log_mag = (
-            sum(math.lgamma(a) for a in num_args)
-            - sum(math.lgamma(a) for a in den_args)
-            + (s * log_abs_sigma if s > 0 else 0.0)
-        )
-        sign = 1.0
-        for a in num_args:
-            sign *= gamma_sign(a)
-        for a in den_args:
-            sign *= gamma_sign(a)
+        sign, log_mag = term
         if log_mag > 700.0:
             raise DivergenceError(
                 f"series term overflow at index {s} for sigma={sigma!r}"

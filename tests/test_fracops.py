@@ -360,6 +360,47 @@ def test_rule_runs_on_the_unbroadcast_axis(fname, axis):
     _assert_engines_agree(got, expect)
 
 
+@pytest.mark.parametrize("fname", ["const", "sine-product", "exp-xyt", "sinpix-expt",
+                                   "sqrt-t", "mixed"])
+def test_rl_derivative_term_by_term_matches_full_grid_engine(fname):
+    """The stencil on the operated coordinate gives the full-grid rule's
+    values; the difference quotient amplifies the integrals' rounding, so the
+    floor is scaled by the grid's largest value as in ``_assert_engines_agree``."""
+    f = _MIXED if fname == "mixed" else get_field(fname).smooth
+    for axis in AXES:
+        point = list(_grid_point(axis))
+        point[AXES.index(axis)] = np.linspace(0.1, 2.9, 5)[None, :]
+        for g in (0.5, 1.5):
+            got = rl_derivative(f, axis, g, tuple(point))
+            expect = rl_derivative(_full_grid(f), axis, g, tuple(point))
+            assert got.shape == expect.shape == (4, 5)
+            assert_allclose(got, expect, rtol=1e-8, atol=1e-8 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("g", [0.5, 1.5])
+def test_rl_derivative_runs_on_the_unbroadcast_axis(g):
+    """As ``rl_integral``: on a 64 x 64 grid the atoms evaluate at most 1/32
+    of the values that the full-grid rule makes them evaluate."""
+    seen = []
+    f = SmoothFn((c, tuple(_Counted(a, seen) for a in atoms))
+                 for c, atoms in get_field("sine-product").smooth.terms)
+    point = list(_grid_point("y", 64, 64))
+    point[1] = np.linspace(0.05, 2.9, 64)[None, :]
+    got = rl_derivative(f, "y", g, tuple(point))
+    term_by_term, seen[:] = sum(seen), []
+    expect = rl_derivative(_full_grid(f), "y", g, tuple(point))
+    assert 32 * term_by_term <= sum(seen)
+    assert_allclose(got, expect, rtol=1e-8, atol=1e-8 * np.abs(expect).max())
+
+
+def test_overflowing_power_is_refused_without_a_warning():
+    """sqrt-t's order-1.5 Caputo derivative along t integrates t^-1.5, which
+    overflows at the rule's first nodes: a typed refusal, with tier-1's
+    RuntimeWarning filter left in force."""
+    with pytest.raises(QuadratureError, match="not finite"):
+        caputo_derivative(get_field("sqrt-t").smooth, "t", 1.5, (0.2, 0.3, 1.0))
+
+
 @pytest.mark.parametrize("op, g", [(rl_integral, 0.5), (caputo_derivative, 0.5),
                                    (caputo_derivative, 1.5)])
 @pytest.mark.parametrize("x", [0.0, math.nan], ids=["power-at-zero", "nan"])
@@ -371,8 +412,8 @@ def test_non_finite_off_axis_factor_is_refused(op, g, x):
     point = (np.array([[1.0], [x]]), np.array([[0.5, 2.0]]), 0.3)
     with pytest.raises(QuadratureError, match="not finite"):
         op(f, "y", g, point)
-    with np.errstate(invalid="ignore"), pytest.raises(QuadratureError, match="not finite"):
-        rl_integral(_full_grid(f), "y", g, point)  # inf times its zero weights warns
+    with pytest.raises(QuadratureError, match="not finite"):
+        rl_integral(_full_grid(f), "y", g, point)  # +inf and -inf in one row
     assert op(f, "y", g, (x, 0.0, 0.3)) == 0.0
 
 

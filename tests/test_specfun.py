@@ -269,15 +269,6 @@ def ml_series_to_completion(g: float, b: float, z: complex):
     return total, (max_mag * 1e-16 * ulp_factor + term_mag) / max(abs(total), 1e-300)
 
 
-def assert_matches_scalar(got, ref):
-    """1e-12 relative, or 1e-14 absolute where |E| < 1e-3; overflow is inf on both."""
-    if ref == math.inf:
-        assert got == math.inf
-    else:
-        assert abs(got - ref) <= 1e-12 * abs(ref) or (
-            abs(ref) < 1e-3 and abs(got - ref) <= 1e-14), (got, ref)
-
-
 ARRAY_ELEMENTS = st.one_of(
     st.floats(min_value=-100.0, max_value=0.0),
     st.builds(cmath.rect, st.floats(min_value=0.0, max_value=10.0),
@@ -285,25 +276,75 @@ ARRAY_ELEMENTS = st.one_of(
     st.floats(min_value=0.0, max_value=30.0),
     st.just(0.0),
 )
+# Where the mpmath series reference stays cheap at every order down to 1/2.
+SMALL_ELEMENTS = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.builds(cmath.rect, st.floats(min_value=0.0, max_value=10.0),
+              st.floats(min_value=-math.pi, max_value=math.pi)),
+    st.just(0.0),
+)
+
+
+def real_and_complex_arrays(zs):
+    """The real elements of ``zs`` (or a zero) as a float array, and all as complex."""
+    reals = [z for z in zs if not isinstance(z, complex)] or [0.0]
+    return np.array(reals), np.array(zs, dtype=complex)
 
 
 class TestMittagLefflerArray:
     @given(
-        st.floats(min_value=0.5, max_value=2.0),
-        st.floats(min_value=0.2, max_value=2.0),
+        st.sampled_from([0.5, 1.0, 2.0]),
         st.lists(ARRAY_ELEMENTS, min_size=1, max_size=10),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_scalar_calls(self, g, b, zs):
-        """Zeros, the series, the contour and positive overflow, mixed in one
-        array, real and complex: each element as its scalar call."""
-        p = MLParams(g, b)
-        reals = [z for z in zs if not isinstance(z, complex)] or [0.0]
-        for arr in (np.array(reals), np.array(zs, dtype=complex)):
-            got = mittag_leffler_array(p, arr)
+    def test_matches_closed_forms(self, g, zs):
+        """Zeros, the series, the contour to |z| = 100 and positive overflow,
+        mixed in one array, real and complex, at the documented accuracy
+        (gamma = 2 on an absolute floor of 1, as cosh(sqrt z) has zeros)."""
+        for arr in real_and_complex_arrays(zs):
+            got = mittag_leffler_array(MLParams(g, 1.0), arr)
             assert got.shape == arr.shape and got.dtype == arr.dtype
             for a, z in zip(got.tolist(), arr.tolist()):
-                assert_matches_scalar(a, mittag_leffler(p, z))
+                ref = ml_closed_form(g, z)
+                if ref == math.inf:
+                    assert a == math.inf
+                else:
+                    assert_ml_close(a, ref, floor=1.0 if g == 2.0 else 1e-3)
+
+    @given(
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=0.2, max_value=2.0),
+        st.lists(SMALL_ELEMENTS, min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_series_reference(self, g, b, zs):
+        """General orders, elements on both paths, against mpmath; each
+        element's bits are its own one-element call's."""
+        p = MLParams(g, b)
+        for arr in real_and_complex_arrays(zs):
+            got = mittag_leffler_array(p, arr)
+            assert got.shape == arr.shape and got.dtype == arr.dtype
+            for i, z in enumerate(arr.tolist()):
+                ref = ml_reference(g, b, z) if z != 0 else 1.0 / math.gamma(b)
+                assert_ml_close(got[i], ref)
+                alone = mittag_leffler_array(p, arr[i:i + 1])
+                assert alone.tobytes() == got[i:i + 1].tobytes()
+
+    def test_scalar_return_types(self):
+        """A float for real z and for complex z with a zero imaginary part,
+        on every path; a complex otherwise; NaN refused."""
+        p = MLParams(0.5, 1.0)
+        for z in (0.0, -2.0, -12.0, 30.0, np.float64(-2.0), 3):
+            assert type(mittag_leffler(p, z)) is float, z
+        for x in (-2.0, -12.0, 4.0):
+            got = mittag_leffler(p, complex(x, 0.0))
+            assert type(got) is float and got == mittag_leffler(p, x)
+        for z in (complex(1.0, 2.0), complex(-3.0, 9.0)):
+            got = mittag_leffler(p, z)
+            assert type(got) is complex
+            assert got == complex(mittag_leffler_array(p, np.array([z]))[0])
+        with pytest.raises(DomainError, match="NaN"):
+            mittag_leffler(p, math.nan)
 
     @pytest.mark.parametrize("g, b", [(0.5, 1.0), (0.8, 1.2), (1.0, 1.0), (1.5, 0.7),
                                       (2.0, 1.0), (0.6, 2.0)])
@@ -343,24 +384,26 @@ class TestMittagLefflerArray:
 class TestSeriesEarlyRejection:
     def test_doomed_series_stops_early(self):
         """E_{1/2,1}(-3): the finished series would be rejected too."""
-        val, err = specfun._ml_series_float(0.5, 1.0, -3.0 + 0j)
+        val, ok = specfun._ml_series_rows(0.5, 1.0, np.array([-3.0 + 0j]))
         full, full_err = ml_series_to_completion(0.5, 1.0, -3.0 + 0j)
-        assert err == math.inf and 1e-12 < full_err < math.inf
-        assert val != full
+        assert not ok[0] and 1e-12 < full_err < math.inf
+        assert val[0] != full
 
     @pytest.mark.parametrize("g, b", [(0.5, 1.0), (0.5, 0.3), (0.8, 1.2), (1.0, 1.0),
                                       (1.5, 0.7), (2.0, 1.8)])
     def test_same_decisions_and_bits_as_the_finished_series(self, g, b):
+        """The series at one element is accepted exactly where the finished
+        series' estimate is within 1e-12, and then has its bits."""
         zs = [complex(x) for x in np.linspace(-5.0, 5.0, 81)]
         zs += [cmath.rect(r, t) for r in (2.0, 4.0, 5.0) for t in np.linspace(-3.1, 3.1, 13)]
         for z in zs:
             if z == 0:
                 continue
-            val, err = specfun._ml_series_float(g, b, z)
+            val, ok = specfun._ml_series_rows(g, b, np.array([z]))
             ref, ref_err = ml_series_to_completion(g, b, z)
-            assert (err <= 1e-12) == (ref_err <= 1e-12), z
-            if ref_err <= 1e-12:
-                assert (val, err) == (ref, ref_err), z
+            assert ok[0] == (ref_err <= 1e-12), z
+            if ok[0]:
+                assert complex(val[0]) == ref, z
 
 
 class TestWrightSeries:
