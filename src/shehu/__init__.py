@@ -32,11 +32,9 @@ from .forward import (
 )
 from .fpde import (
     Grid3Field,
-    GuardedSeriesResult,
     HeatSpec,
     TelegraphSpec,
     TransformSolution,
-    binomial_series,
     reconstruct,
     series_solution,
     transform_residual,
@@ -47,7 +45,6 @@ from .fracops import (
     FracOrder,
     SmoothFn,
     caputo_derivative,
-    rl_derivative,
     rl_integral,
 )
 from .inverse import InversionConfig, invert_1d, invert_1d_complex, invert_3d
@@ -64,10 +61,9 @@ from .opcalc import (
     verify_suite,
 )
 from .specfun import (
+    GuardedSeriesResult,
     MLParams,
-    WrightSeriesResult,
     WrightSeriesSpec,
-    gamma_fn,
     mittag_leffler,
     mittag_leffler_array,
     wright_series,

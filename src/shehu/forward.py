@@ -275,17 +275,10 @@ def shehu_3d(
     f: ExpOrderFn,
     vars: RatioPoint,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    axis_order: tuple[str, str, str] = ("x", "y", "t"),
 ) -> float:
-    """Triple transform by the tensor rule on the truncated box.
-
-    ``axis_order`` orders the grid axes (outermost first), which sets the
-    order of evaluation and summation only; all orderings agree to
-    rounding.
-    """
-    if sorted(axis_order) != sorted(AXES):
-        raise ValueError(f"axis_order must permute {AXES}, got {axis_order!r}")
-    return _shehu_tensor(f, tuple(axis_order), vars, cfg, {})
+    """Triple transform by the tensor rule on the truncated box, with the grid
+    axes x, y, t outermost first."""
+    return _shehu_tensor(f, AXES, vars, cfg, {})
 
 
 def analytic_transform(kind: str, ratio: complex | float, **params) -> complex | float:

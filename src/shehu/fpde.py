@@ -34,12 +34,11 @@ import numpy as np
 
 from .errors import (
     ContourError,
-    DivergenceError,
     SingularDenominator,
 )
 from .fracops import FracOrder
 from .inverse import DEFAULT_INVERSION, InversionConfig, invert_3d
-from .specfun import _gamma_ratio_term
+from .specfun import GuardedSeriesResult, _gamma_ratio_term
 
 __all__ = [
     "HeatSpec",
@@ -50,7 +49,6 @@ __all__ = [
     "transform_solution",
     "transform_residual",
     "reconstruct",
-    "binomial_series",
     "series_solution",
 ]
 
@@ -289,10 +287,6 @@ class Grid3Field:
                     lines.append(f"{x:.17g},{y:.17g},{t:.17g},{v:.17g}")
         return lines
 
-    def write_table(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.to_table_lines()) + "\n")
-
 
 def _check_axis(name: str, nodes: Sequence[float]) -> None:
     if len(nodes) == 0:
@@ -393,35 +387,7 @@ def reconstruct(
                       dict(sorted(reasons.items())))
 
 
-def binomial_series(order: float, t: float, max_terms: int = 800) -> float:
-    """Negative-binomial expansion sum_u [G(u+order)/(G(order) u!)] (-t)^u.
-
-    Converges to (1+t)^(-order) for |t| < 1.
-
-    Raises:
-        DivergenceError: for |t| >= 1.
-    """
-    if abs(t) >= 1.0:
-        raise DivergenceError(f"binomial expansion needs |t| < 1, got {t}")
-    total, coef = 0.0, 1.0
-    for u in range(max_terms):
-        total += coef
-        if abs(coef) <= 1e-16 * max(abs(total), 1e-300) and u > 2:
-            break
-        coef *= (u + order) / (u + 1.0) * (-t)
-    return total
-
-
 # -- printed series evaluators -------------------------------------------------
-
-
-@dataclass
-class GuardedSeriesResult:
-    """Sum over non-guarded terms plus pole-guard diagnostics."""
-
-    value: float
-    guarded_count: int
-    terms_used: int
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ integrable singularity of f at u = 0 needs a special case, and it raises
 ``QuadratureError`` instead of returning an unconverged value.  Point
 coordinates may be arrays that broadcast together; the rule then runs on
 blocks of points at once and returns an array of their shape.  For a
-``SmoothFn``, ``rl_integral``, ``caputo_derivative`` and ``rl_derivative``
-run it per term on the operated coordinate as passed, then multiply by
-the term's other atoms at theirs: on x (n, 1) and y (1, m) a rule along y
-runs on m points, not n m.  Each term converges on its own sum of
-|weight * atoms|, a looser test than one on the summed field where terms
-cancel; a non-finite factor off the axis still raises.  A field is a
+``SmoothFn``, ``rl_integral`` and ``caputo_derivative`` run it per term
+on the operated coordinate as passed, then multiply by the term's other
+atoms at theirs: on x (n, 1) and y (1, m) a rule along y runs on m points,
+not n m.  Each term converges on its own sum of |weight * atoms|, a
+looser test than one on the summed field where terms cancel; a
+non-finite factor off the axis still raises.  A field is a
 callable on broadcast arrays (wrap a scalar-only one with
 ``np.frompyfunc(f, 3, 1)``).  Integrals need only values of f, so any
 field works; derivatives need a ``SmoothFn``, the package's one field
@@ -45,7 +45,6 @@ __all__ = [
     "FracOrder",
     "SmoothFn",
     "rl_integral",
-    "rl_derivative",
     "caputo_derivative",
     "power_rule_integral",
 ]
@@ -361,55 +360,6 @@ def caputo_derivative(
         return _shaped(_partial_n(f, axis, int(round(order.value))).array(*coords), shape)
     n = order.ceil
     return _term_by_term(_partial_n(f, axis, n), axis, n - order.value, point)
-
-
-def rl_derivative(
-    f: SmoothFn | Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    axis: str,
-    order: FracOrder | float,
-    point,
-):
-    """Riemann-Liouville derivative: n-th derivative of the (n-g) integral.
-
-    The outer derivative is taken numerically by central differences with
-    step h = 1e-5 * max(1, p) (5e-4 * max(1, p) for second differences),
-    capped at p/100 so that no node leaves the domain and, near the
-    origin, the truncation error on the p^(n-g) growth stays near 3e-5;
-    one ``rl_integral`` call takes every stencil point, shifted on ``axis``
-    only, so only values of ``f`` enter.  Integer g dispatches to the
-    classical partial and then requires a SmoothFn.  ``point`` broadcasts
-    as in ``rl_integral``.
-
-    Raises:
-        DomainError: for a negative or non-finite coordinate on ``axis``,
-            and for a non-integer order at p = 0, where the derivative is
-            not defined by a difference inside the domain.
-    """
-    order = _as_order(order)
-    if order.is_integer:
-        return caputo_derivative(f, axis, order, point)  # both are the classical partial
-    p = _limits(point, axis)
-    if not p.all():
-        raise DomainError(
-            f"RL derivative of order {order.value} needs {axis} > 0, got 0.0"
-        )
-    n = order.ceil
-    if n > 2:
-        raise QuadratureError(
-            f"RL derivative implemented for ceilings 1 and 2, got n={n}"
-        )
-    # wider step for n = 2: second differences amplify quadrature noise by 1/h^2
-    h = np.minimum((1e-5 if n == 1 else 5e-4) * np.maximum(1.0, p), p / 100.0)
-    shifts = (-1.0, 1.0) if n == 1 else (-1.0, 0.0, 1.0)
-    shape = np.broadcast(*point).shape
-    stencil = list(point)  # the shifts on a new leading axis
-    stencil[AXES.index(axis)] = p + np.reshape(shifts, (-1,) + (1,) * len(shape)) * h
-    rl = rl_integral(f, axis, n - order.value, stencil)
-    if n == 1:
-        out = (rl[1] - rl[0]) / (2.0 * h)
-    else:
-        out = (rl[2] - 2.0 * rl[1] + rl[0]) / (h * h)
-    return _shaped(out.ravel(), shape)
 
 
 def power_rule_integral(exponent: float, order: float, p: float) -> float:

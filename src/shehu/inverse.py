@@ -64,15 +64,8 @@ class InversionConfig:
     contour_scale: float = 1.0
     eval_budget: int = 10**6
 
-    _METHOD_ALIASES = {
-        "deformed-contour": "talbot",
-        "real-node-weights": "stehfest",
-    }
-
     def __post_init__(self) -> None:
-        method = self._METHOD_ALIASES.get(self.method, self.method)
-        object.__setattr__(self, "method", method)
-        if method not in ("talbot", "stehfest"):
+        if self.method not in ("talbot", "stehfest"):
             raise ValueError(f"unknown inversion method {self.method!r}")
         if not isinstance(self.nodes, (int, np.integer)):
             raise ValueError(f"nodes must be an integer, got {self.nodes!r}")

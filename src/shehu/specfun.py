@@ -1,7 +1,6 @@
 """Special functions used throughout the package.
 
-Three building blocks live here: the gamma function (complex arguments,
-pole detection), the two-parameter Mittag-Leffler function
+Two building blocks live here: the two-parameter Mittag-Leffler function
 
     E_{g,b}(z) = sum_{r>=0} z^r / Gamma(g*r + b),      g > 0, b > 0,
 
@@ -35,9 +34,8 @@ from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 
 __all__ = [
     "MLParams",
+    "GuardedSeriesResult",
     "WrightSeriesSpec",
-    "WrightSeriesResult",
-    "gamma_fn",
     "gamma_sign",
     "is_gamma_pole",
     "mittag_leffler",
@@ -48,21 +46,6 @@ __all__ = [
 #: Distance below which an argument counts as sitting on a gamma pole.
 POLE_TOL = 1e-12
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Standard table,
-# accurate to ~15 significant digits over the right half-plane.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def is_gamma_pole(z: complex | float, tol: float = POLE_TOL) -> bool:
     """True when ``z`` lies within ``tol`` of a nonpositive integer."""
@@ -71,40 +54,6 @@ def is_gamma_pole(z: complex | float, tol: float = POLE_TOL) -> bool:
         return False
     nearest = round(z.real)
     return nearest <= 0 and abs(z.real - nearest) <= tol
-
-
-def _lanczos_gamma(z: complex) -> complex:
-    if z.real < 0.5:
-        # Reflection: Gamma(z) = pi / (sin(pi z) * Gamma(1 - z)).
-        return math.pi / (cmath.sin(math.pi * z) * _lanczos_gamma(1.0 - z))
-    z = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
-
-
-def gamma_fn(z: complex | float) -> complex | float:
-    """Gamma function for real or complex scalars.
-
-    Real arguments use the C library implementation (relative error at
-    machine level on [0.5, 50]); complex arguments use the Lanczos
-    rational approximation with reflection for Re z < 0.5.
-
-    Raises:
-        PoleError: when ``z`` is within 1e-12 of a nonpositive integer.
-    """
-    zc = complex(z)
-    if is_gamma_pole(zc):
-        raise PoleError(f"gamma pole at z={z!r}")
-    if zc.imag == 0.0 and not isinstance(z, complex):
-        x = float(zc.real)
-        try:
-            return math.gamma(x)
-        except OverflowError:
-            return math.inf
-    return _lanczos_gamma(zc)
 
 
 def gamma_sign(x: float) -> float:
@@ -189,8 +138,11 @@ def _ml_series_rows(g: float, b: float, z: np.ndarray):
             rot = np.exp(turn[rows, None] * r) if z.dtype.kind == "c" else turn[rows, None] ** r
             sums = np.cumsum(mag * rot, axis=1)
             peaks = np.maximum.accumulate(mag, axis=1)
-            drop = -np.diff(mag, axis=1, prepend=0.0)
-            new = np.diff(peaks, axis=1, prepend=0.0) > 0.0
+            drop = mag.copy()  # -(mag[r] - mag[r-1]), mag[-1] = 0; -0.0 where two tie
+            drop[:, 1:] -= mag[:, :-1]
+            np.negative(drop, out=drop)
+            new = peaks > 0.0  # where the peak rises
+            new[:, 1:] = peaks[:, 1:] > peaks[:, :-1]
             rnd = np.maximum.accumulate(np.where(new, mag * 1e-16 * ulp[:width], 0.0), axis=1)
             scale = np.maximum(np.abs(sums), 1e-300)
             past = (mag < peaks) & (r > 4)
@@ -442,12 +394,13 @@ class WrightSeriesSpec:
 
 
 @dataclass
-class WrightSeriesResult:
-    """Value of a guarded series plus evaluation diagnostics."""
+class GuardedSeriesResult:
+    """Sum over the non-guarded terms of a series plus pole-guard diagnostics;
+    ``last_term_magnitude`` is set by ``wright_series`` only."""
 
-    value: complex
-    terms_used: int = 0
-    guarded_count: int = 0
+    value: complex | float
+    guarded_count: int
+    terms_used: int
     last_term_magnitude: float = 0.0
 
 
@@ -455,7 +408,7 @@ def wright_series(
     spec: WrightSeriesSpec,
     sigma: complex | float,
     max_terms: int = 200,
-) -> WrightSeriesResult:
+) -> GuardedSeriesResult:
     """Sum the generalized gamma-ratio power series at ``sigma``.
 
     Terms are accumulated until the running term magnitude drops below
@@ -542,10 +495,10 @@ def wright_series(
                                    f"sigma={sigma!r}: last term {mag:.3e}, sum "
                                    f"{abs(total):.3e}")
 
-    return WrightSeriesResult(
+    return GuardedSeriesResult(
         value=total,
-        terms_used=used,
         guarded_count=guarded,
+        terms_used=used,
         last_term_magnitude=mag,
     )
 

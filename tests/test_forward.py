@@ -132,18 +132,6 @@ class TestMultiAxis:
         got = shehu_3d(get_field("xyt").exp_order(), UNIT)
         assert_allclose(got, 1.0, rtol=1e-8)
 
-    def test_axis_order_independence(self):
-        """All 6 nesting orders agree to 1e-9."""
-        import itertools
-
-        f = get_field("exp-xyt").exp_order()
-        vars = RatioPoint.from_ratios(1.3, 0.9, 1.1)
-        vals = [
-            shehu_3d(f, vars, axis_order=order)
-            for order in itertools.permutations(("x", "y", "t"))
-        ]
-        assert max(vals) - min(vals) <= 1e-9 * max(abs(v) for v in vals)
-
 
 # Each catalog field written out from its definition with ``math``, one
 # float call per point: a reference that shares no code with funclib.

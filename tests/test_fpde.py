@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shehu import fpde
+from shehu import fpde, specfun
 from shehu.errors import (
     ContourError,
     CostBudgetError,
-    DivergenceError,
     SingularDenominator,
 )
 from shehu.fpde import (
@@ -25,7 +24,6 @@ from shehu.fpde import (
     _eval_guarded,
     _series_groups,
     _TermSpec,
-    binomial_series,
     reconstruct,
     series_solution,
     transform_residual,
@@ -159,24 +157,6 @@ class TestTelegraphSolution:
         assert strict > 1e-3
 
 
-class TestBinomialSeries:
-    def test_geometric(self):
-        assert_allclose(binomial_series(1.0, 0.5), 1.0 / 1.5, rtol=1e-12)
-
-    def test_order_two(self):
-        assert_allclose(binomial_series(2.0, 0.1), 1.0 / 1.21, rtol=1e-12)
-
-    @pytest.mark.parametrize("order, t", [(0.5, 0.3), (1.7, -0.4), (3.0, 0.9)])
-    def test_matches_power(self, order, t):
-        assert_allclose(binomial_series(order, t), (1.0 + t) ** -order, rtol=1e-10)
-
-    def test_divergence(self):
-        with pytest.raises(DivergenceError):
-            binomial_series(1.0, 1.0)
-        with pytest.raises(DivergenceError):
-            binomial_series(2.0, -1.3)
-
-
 class TestGuardedSeries:
     def test_heat_fully_guarded(self):
         """Every printed term carries gamma-pole factors; value stays finite."""
@@ -185,6 +165,13 @@ class TestGuardedSeries:
         assert res.terms_used == 0
         assert math.isfinite(res.value)
         assert res.value == 0.0
+
+    def test_one_result_type_with_wright_series(self):
+        spec = specfun.WrightSeriesSpec(upper=((1, 1),), lower=((1, 1),))
+        res = series_solution(HeatSpec(gamma=0.7), (0.5, 0.5, 0.5), truncation=2)
+        assert type(res) is fpde.GuardedSeriesResult is specfun.GuardedSeriesResult
+        assert type(specfun.wright_series(spec, 1.0)) is fpde.GuardedSeriesResult
+        assert res.last_term_magnitude == 0.0
 
     def test_telegraph_fully_guarded(self):
         res = series_solution(

@@ -18,7 +18,6 @@ from shehu.fracops import (
     _ts_rule,
     caputo_derivative,
     power_rule_integral,
-    rl_derivative,
     rl_integral,
 )
 from shehu.funclib import (
@@ -267,15 +266,6 @@ def test_each_point_converges_on_its_own_scale():
     assert_allclose(got, expect, rtol=1e-13, atol=0.0)
 
 
-def test_rl_derivative_arrays_match_scalar_calls():
-    """Equal up to rounding, which the second difference amplifies by 1/h^2."""
-    f = get_field("sine-product").smooth
-    ps = np.array([0.05, 0.7, 2.4])
-    got = rl_derivative(f, "y", 1.5, (0.3, ps, 0.0))
-    expect = [rl_derivative(f, "y", 1.5, (0.3, p, 0.0)) for p in ps.tolist()]
-    assert_allclose(got, expect, rtol=1e-8, atol=0.0)
-
-
 @pytest.mark.parametrize("op", [rl_integral, caputo_derivative])
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
 def test_any_bad_array_coordinate_is_refused(op, bad):
@@ -360,39 +350,6 @@ def test_rule_runs_on_the_unbroadcast_axis(fname, axis):
     _assert_engines_agree(got, expect)
 
 
-@pytest.mark.parametrize("fname", ["const", "sine-product", "exp-xyt", "sinpix-expt",
-                                   "sqrt-t", "mixed"])
-def test_rl_derivative_term_by_term_matches_full_grid_engine(fname):
-    """The stencil on the operated coordinate gives the full-grid rule's
-    values; the difference quotient amplifies the integrals' rounding, so the
-    floor is scaled by the grid's largest value as in ``_assert_engines_agree``."""
-    f = _MIXED if fname == "mixed" else get_field(fname).smooth
-    for axis in AXES:
-        point = list(_grid_point(axis))
-        point[AXES.index(axis)] = np.linspace(0.1, 2.9, 5)[None, :]
-        for g in (0.5, 1.5):
-            got = rl_derivative(f, axis, g, tuple(point))
-            expect = rl_derivative(_full_grid(f), axis, g, tuple(point))
-            assert got.shape == expect.shape == (4, 5)
-            assert_allclose(got, expect, rtol=1e-8, atol=1e-8 * np.abs(expect).max())
-
-
-@pytest.mark.parametrize("g", [0.5, 1.5])
-def test_rl_derivative_runs_on_the_unbroadcast_axis(g):
-    """As ``rl_integral``: on a 64 x 64 grid the atoms evaluate at most 1/32
-    of the values that the full-grid rule makes them evaluate."""
-    seen = []
-    f = SmoothFn((c, tuple(_Counted(a, seen) for a in atoms))
-                 for c, atoms in get_field("sine-product").smooth.terms)
-    point = list(_grid_point("y", 64, 64))
-    point[1] = np.linspace(0.05, 2.9, 64)[None, :]
-    got = rl_derivative(f, "y", g, tuple(point))
-    term_by_term, seen[:] = sum(seen), []
-    expect = rl_derivative(_full_grid(f), "y", g, tuple(point))
-    assert 32 * term_by_term <= sum(seen)
-    assert_allclose(got, expect, rtol=1e-8, atol=1e-8 * np.abs(expect).max())
-
-
 def test_overflowing_power_is_refused_without_a_warning():
     """sqrt-t's order-1.5 Caputo derivative along t integrates t^-1.5, which
     overflows at the rule's first nodes: a typed refusal, with tier-1's
@@ -438,6 +395,10 @@ class TestCaputo:
         got = caputo_derivative(axis_power("t", 1.0), "t", 0.5, (0.0, 0.0, 1.0))
         assert_allclose(got, 1.0 / math.gamma(1.5), rtol=1e-9)
         assert_allclose(got, 2.0 / math.sqrt(math.pi), rtol=1e-9)
+
+    def test_quadratic_half_derivative(self):
+        got = caputo_derivative(axis_power("t", 2.0), "t", 0.5, (0.0, 0.0, 1.0))
+        assert_allclose(got, math.gamma(3.0) / math.gamma(2.5), rtol=1e-8)
 
     @pytest.mark.parametrize("g", [0.2, 0.5, 0.8])
     def test_annihilates_constants(self, g):
@@ -488,41 +449,3 @@ class TestCaputo:
         )
         assert_allclose(lhs, f(0.0, 0.0, p) - taylor, rtol=1e-6, atol=1e-8)
 
-
-class TestRLDerivative:
-    def test_constant_half_order(self):
-        got = rl_derivative(const_fn(1.0), "t", 0.5, (0.0, 0.0, 1.0))
-        assert_allclose(got, 1.0 / math.sqrt(math.pi), rtol=1e-7)
-
-    def test_matches_caputo_when_initial_values_vanish(self):
-        f = axis_power("t", 2.0)
-        got_rl = rl_derivative(f, "t", 0.5, (0.0, 0.0, 1.0))
-        got_c = caputo_derivative(f, "t", 0.5, (0.0, 0.0, 1.0))
-        expect = math.gamma(3.0) / math.gamma(2.5)
-        assert_allclose(got_rl, expect, rtol=1e-6)
-        assert_allclose(got_c, expect, rtol=1e-8)
-
-    def test_integer_order_classical(self):
-        got = rl_derivative(axis_power("t", 3.0), "t", 2.0, (0.0, 0.0, 1.0))
-        assert_allclose(got, 6.0, rtol=1e-12)
-
-    @pytest.mark.parametrize("g", [0.5, 1.5])
-    def test_origin_is_refused(self, g):
-        with pytest.raises(DomainError):
-            rl_derivative(const_fn(1.0), "t", g, (0.0, 0.0, 0.0))
-
-    @pytest.mark.parametrize("g", [0.5, 1.5])
-    @pytest.mark.parametrize("p", [3e-4, 1e-3])
-    def test_second_difference_stays_in_domain_near_origin(self, g, p):
-        """Near the origin both difference steps are capped at p/100."""
-        got = rl_derivative(const_fn(1.0), "t", g, (0.0, 0.0, p))
-        # truncation error of the capped second difference is about 3e-5
-        assert_allclose(got, p ** -g / math.gamma(1.0 - g), rtol=1e-3)
-
-    def test_sin_derivative_order_half(self):
-        """RL and Caputo differ by the t^-g/Gamma(1-g) term only for f(0) != 0."""
-        f = axis_sin("t", 1.0)  # sin(0) = 0, so RL = Caputo here
-        p = 0.9
-        got_rl = rl_derivative(f, "t", 0.5, (0.0, 0.0, p))
-        got_c = caputo_derivative(f, "t", 0.5, (0.0, 0.0, p))
-        assert_allclose(got_rl, got_c, rtol=1e-5)

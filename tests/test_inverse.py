@@ -102,10 +102,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             InversionConfig(**{field: value})
 
-    def test_method_aliases(self):
-        assert InversionConfig(method="deformed-contour").method == "talbot"
-        assert InversionConfig(method="real-node-weights").method == "stehfest"
-
 
 class TestInvert1D:
     def test_linear_pair(self):

@@ -14,13 +14,10 @@ from shehu.errors import ConvergenceError, DivergenceError, DomainError, PoleErr
 from shehu.specfun import (
     MLParams,
     WrightSeriesSpec,
-    gamma_fn,
     mittag_leffler,
     mittag_leffler_array,
     wright_series,
 )
-
-SQRT_PI = 1.7724538509055159
 
 # frozen: 200-term extended-precision summation of the defining series,
 # cross-checked against exp(1) * erfc(1)
@@ -64,48 +61,15 @@ def assert_ml_close(got, ref, floor: float = 1e-3):
 
 
 class TestGamma:
-    @pytest.mark.parametrize(
-        "z, expected",
-        [
-            (0.5, SQRT_PI),
-            (5.0, 24.0),
-            (2.5, 1.5 * 0.5 * SQRT_PI),
-        ],
-    )
-    def test_known_values(self, z, expected):
-        assert_allclose(gamma_fn(z), expected, rtol=1e-13)
-
     @pytest.mark.parametrize("z", [0.0, -1.0, -3.0, -7 + 1e-13])
     def test_pole_error(self, z):
+        """A pole is detected, refused by ``gamma_sign`` and guarded by the
+        gamma-ratio term on either side of the ratio."""
+        assert specfun.is_gamma_pole(z)
         with pytest.raises(PoleError):
-            gamma_fn(z)
-
-    def test_recurrence_seeded(self):
-        """Gamma(z+1) = z Gamma(z) on 100 seeded draws in (0.1, 30)."""
-        rng = np.random.default_rng(7)
-        for z in rng.uniform(0.1, 30.0, size=100):
-            assert_allclose(gamma_fn(z + 1.0), z * gamma_fn(z), rtol=1e-12)
-
-    @given(st.floats(min_value=0.1, max_value=30.0))
-    @settings(max_examples=60, deadline=None)
-    def test_recurrence_property(self, z):
-        assert_allclose(gamma_fn(z + 1.0), z * gamma_fn(z), rtol=1e-12)
-
-    def test_complex_conjugate_symmetry(self):
-        z = complex(2.3, 1.4)
-        a, b = gamma_fn(z), gamma_fn(z.conjugate())
-        assert_allclose(a, b.conjugate(), rtol=1e-12)
-
-    def test_complex_recurrence(self):
-        z = complex(1.7, -2.2)
-        assert_allclose(gamma_fn(z + 1), z * gamma_fn(z), rtol=1e-12)
-
-    def test_complex_against_reflection_identity(self):
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        z = complex(0.3, 0.9)
-        lhs = gamma_fn(z) * gamma_fn(1.0 - z)
-        rhs = math.pi / np.sin(math.pi * z)
-        assert_allclose(lhs, rhs, rtol=1e-12)
+            specfun.gamma_sign(z)
+        assert specfun._gamma_ratio_term((z,), ()) is None
+        assert specfun._gamma_ratio_term((2.5,), (z,)) is None
 
 
 class TestMittagLeffler:
