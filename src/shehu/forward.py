@@ -76,9 +76,6 @@ class RatioPoint:
             return r.real
         return r
 
-    def ratios(self) -> tuple[complex, complex, complex]:
-        return tuple(self.ratio(ax) for ax in AXES)
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -98,19 +95,16 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 @dataclass(frozen=True)
 class ExpOrderFn:
-    """A callable field carrying an exponential-order certificate.
+    """A field carrying an exponential-order certificate.
 
     The certificate asserts |fn(x, y, t)| <= bound * exp(rates . (x, y, t));
-    it drives the truncation of every semi-infinite integral.  ``fn`` is a
-    field as in ``fracops``: a callable on broadcast numpy arrays.
+    it drives the truncation of every semi-infinite integral.  ``array``
+    evaluates ``fn``, a field as in ``fracops`` on broadcast numpy arrays.
     """
 
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     bound: float
     rates: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __call__(self, x, y, t):
-        return self.fn(x, y, t)
 
     def array(self, x, y, t) -> np.ndarray:
         """Float values at the broadcast shape; DomainError if they do not broadcast."""
@@ -119,12 +113,11 @@ class ExpOrderFn:
     def rate(self, axis: str) -> float:
         return self.rates[AXES.index(axis)]
 
-    def certificate_holds(
-        self, points: Sequence[tuple[float, float, float]], slack: float = 1e-12
-    ) -> bool:
+    def certificate_holds(self, points: Sequence[tuple[float, float, float]]) -> bool:
+        """Whether |fn| <= bound * exp(rates . point) + 1e-12 at every point."""
         x, y, t = np.asarray(points, dtype=float).reshape(-1, 3).T
         sx, sy, st = self.rates
-        envelope = self.bound * np.exp(sx * x + sy * y + st * t) + slack
+        envelope = self.bound * np.exp(sx * x + sy * y + st * t) + 1e-12
         return bool(np.all(np.abs(self.array(x, y, t)) <= envelope))
 
 
@@ -282,37 +275,27 @@ def shehu_3d(
 
 
 def analytic_transform(kind: str, ratio: complex | float, **params) -> complex | float:
-    """Closed-form single-axis transform values for primitive functions.
+    """Closed-form single-axis transforms of the power, sine and ML-kernel primitives.
 
     Kinds and parameters:
       - "power", nu:     u^nu        -> Gamma(nu+1) / ratio^(nu+1),  nu > -1
-      - "exp", rate:     exp(rate*u) -> 1 / (ratio - rate)
       - "sin", omega:    sin(omega u)-> omega / (ratio^2 + omega^2)
-      - "cos", omega:    cos(omega u)-> ratio / (ratio^2 + omega^2)
       - "ml_kernel", gamma, beta, c:
             u^(beta-1) E_{gamma,beta}(c u^gamma) -> ratio^(gamma-beta) / (ratio^gamma - c)
         valid only where |c| < |ratio^gamma|.
 
     Raises:
-        DomainError: on parameter-domain violations (including the
-            |c| < |ratio^gamma| constraint of the ML kernel pair).
+        DomainError: on an unknown kind and on parameter-domain violations
+            (including the |c| < |ratio^gamma| constraint of the ML kernel pair).
     """
     if kind == "power":
         nu = float(params["nu"])
         if nu <= -1.0:
             raise DomainError(f"power transform needs nu > -1, got {nu}")
         return math.gamma(nu + 1.0) / ratio ** (nu + 1.0)
-    if kind == "exp":
-        lam = float(params["rate"])
-        if not isinstance(ratio, complex) and ratio <= lam:
-            raise DomainError(f"exp transform needs ratio > rate, got {ratio} <= {lam}")
-        return 1.0 / (ratio - lam)
     if kind == "sin":
         omega = float(params["omega"])
         return omega / (ratio * ratio + omega * omega)
-    if kind == "cos":
-        omega = float(params["omega"])
-        return ratio / (ratio * ratio + omega * omega)
     if kind == "ml_kernel":
         g = float(params["gamma"])
         b = float(params["beta"])

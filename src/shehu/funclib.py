@@ -31,7 +31,6 @@ __all__ = [
     "axis_power",
     "axis_exp",
     "axis_sin",
-    "axis_cos",
     "catalog",
     "get_field",
     "field_names",
@@ -49,20 +48,17 @@ class FieldFn:
     bound: float
     rates: tuple[float, float, float]
 
-    def __call__(self, x, y, t):
-        return self.smooth(x, y, t)
+    def exp_order(self) -> ExpOrderFn:
+        return ExpOrderFn(self.smooth, self.bound, self.rates)
 
-    def exp_order(self, bound_factor: float = 1.0) -> ExpOrderFn:
-        return self.trace_exp_order(self.smooth, bound_factor)
-
-    def trace_exp_order(self, smooth: SmoothFn, bound_factor: float = 4.0) -> ExpOrderFn:
+    def trace_exp_order(self, smooth: SmoothFn) -> ExpOrderFn:
         """Certificate reused for derivative traces of this field.
 
         Derivatives of the catalog atoms obey the same exponential order
-        with a moderately larger constant; the factor only lengthens the
+        with a moderately larger constant; the factor 4 only lengthens the
         truncated range.
         """
-        return ExpOrderFn(smooth, self.bound * bound_factor, self.rates)
+        return ExpOrderFn(smooth, self.bound * 4.0, self.rates)
 
 
 # -- single-axis atoms (the interface is documented on SmoothFn) --------------
@@ -168,10 +164,6 @@ def axis_sin(axis: str, omega: float) -> SmoothFn:
     return _atom_fn(_Sin(axis, omega))
 
 
-def axis_cos(axis: str, omega: float) -> SmoothFn:
-    return _atom_fn(_Cos(axis, omega))
-
-
 # -- catalog -----------------------------------------------------------------
 
 
@@ -205,7 +197,6 @@ def _catalog() -> dict[str, FieldFn]:
 _CATALOG = _catalog()
 
 _ALIASES = {
-    "one": "const",
     "product-exponential": "exp-xyt",
 }
 

@@ -283,19 +283,18 @@ def convolved_exp_order(
     f: ExpOrderFn,
     g: ExpOrderFn,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    rate_pad: float = 0.5,
 ) -> ExpOrderFn:
     """Wrap the convolution of f and g as a certified field.
 
     |f***g| <= M_f M_g * xyt * exp(max-rate . point); the polynomial factor
-    is absorbed into the rate pad, with the bound constant adjusted by
-    (1/(e*pad))^3 = max of u*exp(-pad*u) per axis.  The field broadcasts
+    is absorbed into a rate pad of 1/2, with the bound constant adjusted by
+    (2/e)^3, the cube of the max of u*exp(-u/2) per axis.  The field broadcasts
     over points; each point is one ``convolve_3d``.
     """
     rates = tuple(
-        max(rf, rg) + rate_pad for rf, rg in zip(f.rates, g.rates)
+        max(rf, rg) + 0.5 for rf, rg in zip(f.rates, g.rates)
     )
-    bound = f.bound * g.bound * (1.0 / (math.e * rate_pad)) ** 3
+    bound = f.bound * g.bound * (1.0 / (math.e * 0.5)) ** 3
     fn = np.vectorize(lambda x, y, t: convolve_3d(f, g, (x, y, t), cfg), otypes=[float])
     return ExpOrderFn(fn, bound, rates)
 
@@ -488,9 +487,6 @@ class VerificationReport:
             )
             for r in sorted(self.rows, key=lambda r: r.id)
         ]
-
-    def __str__(self) -> str:
-        return "\n".join(self.to_lines())
 
 
 SUITE_IDS = (

@@ -9,9 +9,9 @@ and the generalized power-series form
     W(sigma) = sum_{s>=0} [prod_j Gamma(a_j + A_j*s)]
                / (s! * prod_j Gamma(b_j + B_j*s)) * sigma^s,
 
-which is the series reduction of the Mellin-Barnes family used by the
-transform-domain series evaluators.  Series terms whose gamma factors sit
-on a pole are skipped and counted instead of aborting the evaluation.
+which is the series reduction of the Mellin-Barnes family.  Series terms
+whose gamma factors sit on a pole are skipped and counted instead of
+aborting the evaluation.
 
 The Mittag-Leffler function has one engine, ``mittag_leffler_array``, with
 two paths: its series in double precision, summed over the array where
@@ -47,13 +47,13 @@ __all__ = [
 POLE_TOL = 1e-12
 
 
-def is_gamma_pole(z: complex | float, tol: float = POLE_TOL) -> bool:
-    """True when ``z`` lies within ``tol`` of a nonpositive integer."""
+def is_gamma_pole(z: complex | float) -> bool:
+    """True when ``z`` lies within ``POLE_TOL`` of a nonpositive integer."""
     z = complex(z)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > POLE_TOL:
         return False
     nearest = round(z.real)
-    return nearest <= 0 and abs(z.real - nearest) <= tol
+    return nearest <= 0 and abs(z.real - nearest) <= POLE_TOL
 
 
 def gamma_sign(x: float) -> float:
@@ -229,10 +229,8 @@ def _ml_unbounded_parabola(lo: float, p: float):
         sq_bar = 5.0 ** (-1.0 / p) * sq_mu + sq_lo
     else:
         return None
-    if sq_mu * sq_mu <= _ML_MU_MAX:
-        h = (2.0 * math.sqrt(1.0 + 12.0 * a) - 3.0 * a - 2.0) / (4.0 - a) / n
-        return sq_mu * sq_mu, h, n
-    # Pull the parabola back to mu = _ML_MU_MAX to bound the round-off.
+    # Garrappa's mu at the 1e-14 target is at least 4 pi / 3 > _ML_MU_MAX, so
+    # the parabola is always pulled back to mu = _ML_MU_MAX to bound the round-off.
     sq_bar = (0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * sq_mu) + sq_lo
     if sq_bar ** 2 >= _ML_MU_MAX:
         return None

@@ -49,7 +49,7 @@ class TestTransform:
             "--ratios", "2",
         )
         assert code == 2
-        assert "unknown function" in err
+        assert "invalid choice: 'nosuch'" in err
 
     def test_dims_mismatch(self, capsys):
         code, _, err = run(
@@ -370,6 +370,20 @@ def test_commands_run_without_scipy_or_mpmath(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"codes": [0, 0, 0], "loaded": []}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("invert", "--pair", "one-over-s-plus-1", "--points", "1"), 0),
+    (("invert", "--pair", "bogus", "--points", "1"), 2),
+])
+def test_module_entry_point_exits_with_main(capsys, argv, code):
+    """``python -m shehu.cli`` exits with ``main``'s code and prints its stdout bytes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "shehu.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, timeout=300)
+    assert run(capsys, *argv)[:2] == (code, proc.stdout.decode())
+    assert proc.returncode == code
 
 
 def test_reconstruct_output_does_not_depend_on_blas_threads():

@@ -33,7 +33,7 @@ class TestRatioPoint:
 
     def test_from_ratios(self):
         v = RatioPoint.from_ratios(1.5, 2.5, 3.5)
-        assert v.ratios() == (1.5, 2.5, 3.5)
+        assert tuple(v.ratio(ax) for ax in "xyt") == (1.5, 2.5, 3.5)
 
 
 class TestQuadratureConfig:
@@ -196,6 +196,12 @@ class TestTensorRule:
         with pytest.raises(QuadratureError):
             shehu_1d(f, "t", UNIT)
 
+    def test_nonfinite_integrand_is_refused(self):
+        """A NaN stops the rule at its first level, not after the last."""
+        f = ExpOrderFn(fn=lambda x, y, t: np.where(t > 1.0, math.nan, 1.0), bound=1.0)
+        with pytest.raises(QuadratureError, match="non-finite quadrature result"):
+            shehu_1d(f, "t", UNIT)
+
     def test_evaluation_blocks_are_capped(self):
         sizes = []
         base = get_field("exp-xyt").exp_order()
@@ -268,12 +274,12 @@ class TestAnalyticTransform:
             analytic_transform("power", 1.0, nu=-1.0)
 
     def test_sin_cos_exp(self):
+        """sin has its closed form; cos and exp are not kinds of this table."""
         assert_allclose(analytic_transform("sin", 1.0, omega=PI),
                         PI / (1 + PI * PI), rtol=1e-13)
-        assert_allclose(analytic_transform("cos", 2.0, omega=1.0),
-                        2.0 / 5.0, rtol=1e-13)
-        assert_allclose(analytic_transform("exp", 2.0, rate=-1.0),
-                        1.0 / 3.0, rtol=1e-13)
+        for kind, params in (("cos", {"omega": 1.0}), ("exp", {"rate": -1.0})):
+            with pytest.raises(DomainError, match=f"unknown analytic transform kind '{kind}'"):
+                analytic_transform(kind, 2.0, **params)
 
     def test_ml_kernel_classical_case(self):
         """Order (1, 1) with c = -1 collapses to the exponential pair."""

@@ -88,14 +88,20 @@ class TestSmoothFn:
     )
     def test_array_evaluator_matches_scalar(self, fld):
         """A broadcast evaluation equals scalar calls, which return floats."""
-        assert type(fld(0.3, 0.45, 0.8)) is float
+        assert type(fld.smooth(0.3, 0.45, 0.8)) is float
         x = np.array([0.0, 0.3, 1.7])[:, None, None]
         y = np.array([0.0, 0.45, 2.2])[None, :, None]
         t = np.array([0.0, 0.8, 3.1])
         got = fld.smooth.array(x, y, t)
         assert got.shape == (3, 3, 3)
-        ref = [[[fld(xi, yj, tk) for tk in t] for yj in y.ravel()] for xi in x.ravel()]
+        ref = [[[fld.smooth(xi, yj, tk) for tk in t] for yj in y.ravel()] for xi in x.ravel()]
         assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_unknown_field_names_the_known_ones(self):
+        with pytest.raises(KeyError) as exc:
+            get_field("nosuch")
+        known = ", ".join(sorted(catalog()))
+        assert exc.value.args == (f"unknown field 'nosuch'; known: {known}",)
 
     def test_missing_derivative(self):
         kernel = ml_kernel_field(0.5, 1.0, -1.0, axis="y").smooth

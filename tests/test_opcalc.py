@@ -214,6 +214,13 @@ class TestConvolve:
         with pytest.raises(DomainError):
             convolve_3d(f, f, (1.0, bad, 0.5))
 
+    def test_unresolved_oscillation_is_refused(self):
+        """sin(200 u) on [0, 1] is not resolved by 38 Gauss nodes per axis."""
+        f = ExpOrderFn(lambda x, y, t: np.sin(200.0 * x), 1.0)
+        g = get_field("const").exp_order()
+        with pytest.raises(QuadratureError, match="failed to stabilize"):
+            convolve_3d(f, g, (1.0, 1.0, 1.0))
+
     def test_product_law_at_unit_ratios(self):
         """Transform of f***f at unit ratios equals (transform of f)^2 = 0.125^2."""
         cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12, tail_cut_tol=1e-10)
@@ -237,8 +244,8 @@ def test_caputo_boundary_traces_obey_their_certificates(monkeypatch):
     built = []
     trace_exp_order = FieldFn.trace_exp_order
 
-    def spy(fld, smooth, bound_factor=4.0):
-        eo = trace_exp_order(fld, smooth, bound_factor)
+    def spy(fld, smooth):
+        eo = trace_exp_order(fld, smooth)
         built.append((fld.name, eo))
         return eo
 

@@ -255,6 +255,18 @@ def real_and_complex_arrays(zs):
     return np.array(reals), np.array(zs, dtype=complex)
 
 
+def test_unbounded_parabola_is_pulled_back():
+    """Garrappa's mu at the 1e-14 target is at least 4 pi / 3, above _ML_MU_MAX, so
+    right of each level below _ML_MU_MAX the parabola has mu = _ML_MU_MAX or none."""
+    found = 0
+    for p in (0.0, 0.4, 1.0, 2.0, 3.0):
+        for lo in np.linspace(0.0, specfun._ML_MU_MAX, 400, endpoint=False).tolist():
+            parabola = specfun._ml_unbounded_parabola(lo, p)
+            assert parabola is None or parabola[0] == specfun._ML_MU_MAX, (lo, p)
+            found += parabola is not None
+    assert found > 400
+
+
 class TestMittagLefflerArray:
     @given(
         st.sampled_from([0.5, 1.0, 2.0]),
