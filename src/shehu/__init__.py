@@ -56,7 +56,6 @@ from .opcalc import (
     boundary_from_quadrature,
     caputo_rule,
     convolve_3d,
-    convolved_exp_order,
     integral_rule,
     verify_suite,
 )

@@ -126,11 +126,8 @@ def cmd_transform(args) -> int:
     for spec in args.ratios:
         parts = [float(v) for v in spec.split(",")]
         if len(parts) != args.dims:
-            print(
-                f"error: ratio point {spec!r} has {len(parts)} entries, "
-                f"need {args.dims}", file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"ratio point {spec!r} has {len(parts)} entries, "
+                             f"need {args.dims}")
         if args.dims == 1:
             vars = RatioPoint(**{args.axis: (parts[0], 1.0)})
             val = shehu_1d(f, args.axis, vars, cfg)

@@ -86,8 +86,10 @@ class QuadratureConfig:
     tail_cut_tol: float = 1e-14
 
     def __post_init__(self) -> None:
-        if min(self.rel_tol, self.abs_tol, self.tail_cut_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol", "tail_cut_tol"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -177,6 +179,8 @@ def _shehu_tensor(
         ratio = vars.ratio(axis)
         if isinstance(ratio, complex):
             raise DomainError("forward quadrature requires real ratio variables")
+        if not math.isfinite(ratio):
+            raise ValueError(f"ratio {ratio} on axis {axis!r} must be finite")
         if ratio <= f.rate(axis):
             raise DivergenceError(
                 f"ratio {ratio} on axis {axis!r} does not exceed the certified "

@@ -244,6 +244,8 @@ def transform_residual(
 class Grid3Field:
     """Values on a rectilinear (x, y, t) grid, indexed [ix, iy, it].
 
+    Each axis must be non-empty, with finite, strictly positive and strictly
+    increasing nodes; ``ValueError`` names the first axis that is not.
     ``values`` may be a non-contiguous view (the heat oracle returns its
     time-major history transposed).
 
@@ -261,15 +263,23 @@ class Grid3Field:
         self.xs = tuple(float(v) for v in self.xs)
         self.ys = tuple(float(v) for v in self.ys)
         self.ts = tuple(float(v) for v in self.ts)
+        for name, nodes in (("x", self.xs), ("y", self.ys), ("t", self.ts)):
+            if not nodes:
+                raise ValueError(f"grid axis {name} is empty")
+            if not all(0.0 < v < math.inf for v in nodes):
+                raise ValueError(
+                    f"grid axis {name} must be finite and positive, got {list(nodes)}"
+                )
+            if any(b <= a for a, b in zip(nodes, nodes[1:])):
+                raise ValueError(
+                    f"grid axis {name} must be strictly increasing, got {list(nodes)}"
+                )
         self.values = np.asarray(self.values, dtype=float)
         expected = (len(self.xs), len(self.ys), len(self.ts))
         if self.values.shape != expected:
             raise ValueError(
                 f"value array shape {self.values.shape} != grid shape {expected}"
             )
-        for axis_nodes in (self.xs, self.ys, self.ts):
-            if any(b <= a for a, b in zip(axis_nodes, axis_nodes[1:])):
-                raise ValueError("grid nodes must be strictly increasing")
 
     @property
     def nonfinite_count(self) -> int:
@@ -288,21 +298,6 @@ class Grid3Field:
         return lines
 
 
-def _check_axis(name: str, nodes: Sequence[float]) -> None:
-    if len(nodes) == 0:
-        raise ValueError(f"reconstruction grid axis {name} is empty")
-    if not all(0.0 < v < math.inf for v in nodes):
-        raise ValueError(
-            f"reconstruction grid axis {name} must be finite and positive, "
-            f"got {list(nodes)}"
-        )
-    if any(b <= a for a, b in zip(nodes, nodes[1:])):
-        raise ValueError(
-            f"reconstruction grid axis {name} must be strictly increasing, "
-            f"got {list(nodes)}"
-        )
-
-
 def reconstruct(
     F: TransformSolution,
     xs: Sequence[float],
@@ -312,11 +307,11 @@ def reconstruct(
 ) -> Grid3Field:
     """Invert ``F`` on the grid nodes; failed nodes become NaN.
 
-    Each axis must be non-empty, finite, strictly positive and strictly
-    increasing; this is checked before any inversion.  Failures (contour
-    breakdown or a singular-locus hit on the contour) are counted via
-    ``Grid3Field.nonfinite_count`` and explained, node by node, in
-    ``Grid3Field.nan_reasons``.  Any other exception, a cost-budget
+    The returned ``Grid3Field`` is built, and its axes checked, before any
+    inversion; its ``values`` and ``nan_reasons`` are then filled in place.
+    Failures (contour breakdown or a singular-locus hit on the contour) are
+    counted via ``Grid3Field.nonfinite_count`` and explained, node by node,
+    in ``Grid3Field.nan_reasons``.  Any other exception, a cost-budget
     violation for one, stops the remaining nodes and is raised; when
     several nodes raise, the one with the lowest (ix, iy, it) index is.
 
@@ -338,10 +333,8 @@ def reconstruct(
     The values and ``nan_reasons`` are identical, bit for bit and key for
     key, to a serial run.
     """
-    for name, nodes in (("x", xs), ("y", ys), ("t", ts)):
-        _check_axis(name, nodes)
-    values = np.empty((len(xs), len(ys), len(ts)))
-    reasons: dict[tuple[int, int, int], str] = {}
+    fld = Grid3Field(xs, ys, ts, np.empty((len(xs), len(ys), len(ts))))
+    values, reasons = fld.values, fld.nan_reasons
     errors: dict[tuple[int, int, int], BaseException] = {}
     pending = np.ndindex(values.shape)
     take = threading.Lock()
@@ -383,8 +376,8 @@ def reconstruct(
                 th.join()
     if errors:
         raise errors[min(errors)]
-    return Grid3Field(tuple(xs), tuple(ys), tuple(ts), values,
-                      dict(sorted(reasons.items())))
+    fld.nan_reasons = dict(sorted(reasons.items()))
+    return fld
 
 
 # -- printed series evaluators -------------------------------------------------

@@ -57,6 +57,9 @@ class InversionConfig:
     ``method`` is "talbot" (deformed contour, default) or "stehfest"
     (real-node weighted sum).  ``nodes`` counts quadrature nodes per half
     contour; ``contour_scale`` multiplies the default contour radius.
+    The least accepted ``nodes``, 8, is not a converged rule: the Talbot
+    inversion of 1/(s+1) at t = 1 gives -10.58 for e^-1 there, and is off
+    by 1.8e-6 at 12 nodes and by 2.1e-10 at 16.
     """
 
     method: str = "talbot"

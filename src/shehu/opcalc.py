@@ -62,7 +62,6 @@ __all__ = [
     "caputo_rule",
     "boundary_from_quadrature",
     "convolve_3d",
-    "convolved_exp_order",
     "verify_suite",
     "SUITE_IDS",
 ]
@@ -279,26 +278,6 @@ def convolve_3d(
     )
 
 
-def convolved_exp_order(
-    f: ExpOrderFn,
-    g: ExpOrderFn,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> ExpOrderFn:
-    """Wrap the convolution of f and g as a certified field.
-
-    |f***g| <= M_f M_g * xyt * exp(max-rate . point); the polynomial factor
-    is absorbed into a rate pad of 1/2, with the bound constant adjusted by
-    (2/e)^3, the cube of the max of u*exp(-u/2) per axis.  The field broadcasts
-    over points; each point is one ``convolve_3d``.
-    """
-    rates = tuple(
-        max(rf, rg) + 0.5 for rf, rg in zip(f.rates, g.rates)
-    )
-    bound = f.bound * g.bound * (1.0 / (math.e * 0.5)) ** 3
-    fn = np.vectorize(lambda x, y, t: convolve_3d(f, g, (x, y, t), cfg), otypes=[float])
-    return ExpOrderFn(fn, bound, rates)
-
-
 # -- separable quadrature (verification side) ---------------------------------
 #
 # Every field is a sum of terms c * (atoms on x) * (atoms on y) * (atoms on t),
@@ -489,15 +468,6 @@ class VerificationReport:
         ]
 
 
-SUITE_IDS = (
-    "operational-integrals",
-    "operational-derivatives",
-    "convolution",
-    "ml-kernel",
-    "roundtrip",
-)
-
-
 def _seeded_ratio_point(
     rng: np.random.Generator, min_gap_rates: tuple[float, float, float]
 ) -> RatioPoint:
@@ -655,8 +625,9 @@ def _suite_convolution(report: VerificationReport, rng) -> None:
             rhs = shehu_3d(f, vars, cfg) * shehu_3d(g, vars, cfg)
             if k == 0:
                 # full box convolution under a fixed tensor-rule transform
-                conv = convolved_exp_order(f, g, cfg)
-                lhs = _tensor_transform(conv.fn, vars)
+                conv = np.vectorize(lambda x, y, t: convolve_3d(f, g, (x, y, t), cfg),
+                                    otypes=[float])
+                lhs = _tensor_transform(conv, vars)
                 tag = "box"
             else:
                 # per-axis numeric convolutions, term by term
@@ -715,6 +686,7 @@ _SUITES = {
     "ml-kernel": _suite_ml_kernel,
     "roundtrip": _suite_roundtrip,
 }
+SUITE_IDS = tuple(_SUITES)
 
 
 def verify_suite(suite_id: str, tolerance: float, seed: int) -> VerificationReport:

@@ -1,11 +1,13 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from shehu import fpde
 from shehu.cli import _inv_config, _quad_config, build_parser, load_config, main
 from shehu.errors import ConfigError, DivergenceError
 from shehu.forward import (
@@ -52,11 +54,23 @@ class TestTransform:
         assert "invalid choice: 'nosuch'" in err
 
     def test_dims_mismatch(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "transform", "--dims", "3", "--func", "const",
             "--ratios", "1,1",
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert err == "error: ratio point '1,1' has 2 entries, need 3\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--ratios", "nan"), "ratio nan on axis 't' must be finite"),
+        (("--ratios=-inf",), "ratio -inf on axis 't' must be finite"),
+        (("--dims", "2", "--ratios", "1,inf"), "ratio inf on axis 'y' must be finite"),
+        (("--ratios", "2", "--rel-tol", "nan"), "rel_tol must be finite and positive, got nan"),
+        (("--ratios", "2", "--abs-tol", "inf"), "abs_tol must be finite and positive, got inf"),
+    ], ids=["nan", "-inf", "2d-inf", "rel-tol-nan", "abs-tol-inf"])
+    def test_nonfinite_ratio_or_tolerance_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "transform", "--func", "const", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_args(self, capsys):
         assert run(capsys, "transform", "--dims", "1", "--func", "const")[0] == 2
@@ -233,11 +247,13 @@ class TestSolve:
         (("--grid-n", "0"), "axis x is empty"),
         (("--grid-n", "2", "--grid-extent", "-1"), "axis x must be finite and positive"),
     ])
-    def test_reconstruct_grid_refused(self, capsys, flags, message):
+    def test_reconstruct_grid_refused(self, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(fpde, "invert_3d", lambda *args: pytest.fail("inverted"))
         code, out, err = run(capsys, "solve", "heat", "--mode", "reconstruct", *flags)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: reconstruction grid {message}")
+        assert err.startswith(f"error: grid {message}")
+        assert err.count("\n") == 1
 
 
 class TestVerify:
@@ -314,6 +330,14 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert err.startswith("error: contour_scale must be finite and positive")
+
+    def test_nonfinite_tolerance_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tail_cut_tol = nan\n")
+        code, out, err = run(capsys, "--config", str(cfg), "transform", "--func", "const",
+                             "--ratios", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: tail_cut_tol must be finite and positive, got nan\n"
 
     def test_line_without_equals_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -401,3 +425,30 @@ def test_reconstruct_output_does_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The ``shehu ...`` lines of the code block under README's ``## CLI``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("shehu ")]
+
+
+def test_readme_cli_commands_run_and_repeat(capsys, tmp_path):
+    """Each README CLI command exits 0 and prints the same bytes twice;
+    an ``--output`` file is written under ``tmp_path`` and compared too."""
+    commands = _readme_cli_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        output = None
+        if "--output" in argv:
+            i = argv.index("--output") + 1
+            output = argv[i] = str(tmp_path / argv[i])
+        runs = []
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
+            runs.append((code, out, Path(output).read_bytes() if output else b""))
+        assert runs[0][0] == 0, (argv, err)
+        assert runs[0][1] or runs[0][2], argv
+        assert runs[0] == runs[1], argv

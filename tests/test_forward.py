@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,12 @@ class TestQuadratureConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "tail_cut_tol"])
+    def test_tolerance_outside_zero_to_inf_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            QuadratureConfig(**{name: value})
 
 
 class TestCertificate:
@@ -201,6 +208,28 @@ class TestTensorRule:
         f = ExpOrderFn(fn=lambda x, y, t: np.where(t > 1.0, math.nan, 1.0), bound=1.0)
         with pytest.raises(QuadratureError, match="non-finite quadrature result"):
             shehu_1d(f, "t", UNIT)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_nonfinite_ratio_refused_before_any_evaluation(self, dims, bad):
+        calls = []
+
+        def spy(x, y, t):
+            calls.append(1)
+            return np.ones(np.broadcast(x, y, t).shape)
+
+        f = ExpOrderFn(fn=spy, bound=1.0)
+        vars = RatioPoint.from_ratios(*[2.0] * (dims - 1), bad)
+        axis = "xyt"[dims - 1]
+        transform = {1: lambda: shehu_1d(f, "x", vars),
+                     2: lambda: shehu_2d(f, ("x", "y"), vars),
+                     3: lambda: shehu_3d(f, vars)}[dims]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^ratio {bad} on axis '{axis}' must be finite$"):
+                transform()
+        assert calls == []
 
     def test_evaluation_blocks_are_capped(self):
         sizes = []

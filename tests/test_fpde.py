@@ -374,7 +374,10 @@ class TestReconstructAndGrid:
             calls.append(p.shape)
             return 1.0 / (p * q * s)
 
-        with pytest.raises(ValueError, match=f"reconstruction grid {message}"):
+        # the whole message: a refused non-empty axis is listed after "got"
+        nodes = list(axes["xyt".index(message.split()[1])])
+        whole = f"grid {message}" + (f", got {nodes}" if nodes else "")
+        with pytest.raises(ValueError, match=f"^{re.escape(whole)}$"):
             reconstruct(TransformSolution(evaluator, ()), *axes)
         assert calls == []
 
@@ -390,6 +393,15 @@ class TestReconstructAndGrid:
             Grid3Field((0.5,), (1.0,), (1.5,), np.zeros((2, 1, 1)))
         with pytest.raises(ValueError):
             Grid3Field((1.0, 0.5), (1.0,), (1.5,), np.zeros((2, 1, 1)))
+        for xs, message in [
+            ((), "grid axis x is empty"),
+            ((0.0,), "grid axis x must be finite and positive"),
+            ((math.nan,), "grid axis x must be finite and positive"),
+            ((math.inf,), "grid axis x must be finite and positive"),
+            ((0.5, 0.5), "grid axis x must be strictly increasing"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                Grid3Field(xs, (1.0,), (1.5,), np.zeros((len(xs), 1, 1)))
 
 
 def _serial_reconstruct(F, xs, ys, ts, cfg):
